@@ -4,11 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Each shard is one mutex-guarded LRU over both entry kinds (check
-// verdicts and lowered artifacts) with its slice of the byte budget: a
-// recency list whose nodes own the values, plus one hash index per kind
-// pointing into it. Every operation is a couple of hash probes and a
-// list splice, so a lock is held for nanoseconds; the default single
+// Each shard is one mutex-guarded LRU over all three entry kinds (check
+// verdicts, program artifacts and verified bytes) with its slice of the
+// byte budget: a recency list whose nodes own the values, plus one hash
+// index per kind pointing into it. Every operation is a couple of hash
+// probes and a list splice, so a lock is held for nanoseconds; evicted
+// entries leave the lock on a local list and are freed after it is
+// released, so no artifact is destroyed under it. The default single
 // shard gives exact global recency, and a server constructs with more
 // shards to spread client threads across independent locks (the shard
 // is picked from the content key, so a given key always lands on the
@@ -26,6 +28,7 @@
 #include "support/ThreadPool.h"
 #include "typing/Checker.h"
 
+#include <cstring>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -48,6 +51,26 @@ rw::cache::programKey(const std::vector<const ir::Module *> &Mods) {
 }
 
 namespace {
+
+/// The default verified-bytes key: two independent word-at-a-time
+/// multiply chains over the bytes, seeded with the length. Not
+/// collision-resistant; lookupVerified compares the full bytes anyway.
+serial::ModuleHash bytesKey(const std::vector<uint8_t> &Bytes) {
+  using support::mix64;
+  uint64_t A = 0x9e3779b97f4a7c15ull ^ Bytes.size();
+  uint64_t B = 0x2545f4914f6cdd1dull;
+  size_t N = Bytes.size(), I = 0;
+  for (; I + 8 <= N; I += 8) {
+    uint64_t W;
+    std::memcpy(&W, Bytes.data() + I, 8);
+    A = (A ^ W) * 0xff51afd7ed558ccdull;
+    B = ((B ^ W) * 0xc4ceb9fe1a85ec53ull) ^ (B >> 29);
+  }
+  uint64_t Tail = 0;
+  if (I < N)
+    std::memcpy(&Tail, Bytes.data() + I, N - I);
+  return {mix64(A ^ Tail), mix64(B ^ mix64(Tail))};
+}
 
 struct KeyHash {
   size_t operator()(const serial::ModuleHash &K) const {
@@ -112,13 +135,16 @@ uint64_t checkBytes(const CheckResult &R) {
 //===----------------------------------------------------------------------===//
 
 struct AdmissionCache::Impl {
-  enum class Kind : uint8_t { Check, Program };
+  enum class Kind : uint8_t { Check, Program, Verified };
 
   struct Entry {
     Kind K;
     serial::ModuleHash Key;
     CheckResult Check;
-    std::shared_ptr<const LoweredArtifact> Art;
+    /// Program entries use only Ver.Art.
+    VerifiedModule Ver;
+    /// Verified entries: the exact admitted bytes every hit is compared to.
+    std::vector<uint8_t> Input;
     uint64_t Bytes = 0;
   };
 
@@ -127,28 +153,35 @@ struct AdmissionCache::Impl {
 
   mutable std::mutex M;
   Lru Recency; ///< Front = most recently used.
-  Map Checks, Programs;
+  Map Checks, Programs, Verified;
   CacheStats St;
 
-  Map &mapFor(Kind K) { return K == Kind::Check ? Checks : Programs; }
+  Map &mapFor(Kind K) {
+    return K == Kind::Check ? Checks : K == Kind::Program ? Programs : Verified;
+  }
 
   void touch(Lru::iterator It) { Recency.splice(Recency.begin(), Recency, It); }
 
-  /// Evicts from the LRU tail until the resident bytes fit the budget.
+  /// Moves entries from the LRU tail to \p Dead until the resident bytes
+  /// fit the budget. The caller frees \p Dead after unlocking, so the last
+  /// reference to an evicted artifact is never dropped under the lock.
   /// (Entries larger than the whole budget never get in — see insert.)
-  void evict(uint64_t Budget) {
+  void evict(uint64_t Budget, Lru &Dead) {
     while (St.Bytes > Budget && !Recency.empty()) {
       Entry &E = Recency.back();
       mapFor(E.K).erase(E.Key);
       St.Bytes -= E.Bytes;
       --St.Entries;
       ++St.Evictions;
-      Recency.pop_back();
+      Dead.splice(Dead.end(), Recency, std::prev(Recency.end()));
     }
   }
 
-  void insert(Kind K, const serial::ModuleHash &Key, Entry E,
-              uint64_t Budget) {
+  /// Inserts \p E unless its key is resident. \p E is moved from only
+  /// when inserted, so a caller that declared it before taking the lock
+  /// frees a duplicate after unlocking.
+  void insert(Kind K, const serial::ModuleHash &Key, Entry &&E,
+              uint64_t Budget, Lru &Dead) {
     // An entry the whole budget cannot hold is rejected up front: pushing
     // it through the LRU would evict every resident entry before the
     // oversized one itself went, flushing the warm set for nothing.
@@ -158,7 +191,9 @@ struct AdmissionCache::Impl {
     auto It = M.find(Key);
     if (It != M.end()) {
       // Content-addressed: a re-store carries the same value; refresh
-      // recency and keep the resident entry.
+      // recency and keep the resident entry. For verified bytes the
+      // resident may be a different byte string on the same key: it stays
+      // served, and the newcomer stays uncached.
       touch(It->second);
       return;
     }
@@ -166,13 +201,14 @@ struct AdmissionCache::Impl {
     ++St.Entries;
     Recency.push_front(std::move(E));
     M.emplace(Key, Recency.begin());
-    evict(Budget);
+    evict(Budget, Dead);
   }
 };
 
 AdmissionCache::AdmissionCache(uint64_t ByteBudget, unsigned Shards)
     : Budget(ByteBudget), NumShards(Shards == 0 ? 1 : Shards),
-      ShardBudget(ByteBudget / (Shards == 0 ? 1 : Shards)) {
+      ShardBudget(ByteBudget / (Shards == 0 ? 1 : Shards)),
+      BytesKey(bytesKey) {
   Sh.reserve(NumShards);
   for (unsigned S = 0; S < NumShards; ++S)
     Sh.push_back(std::make_unique<Impl>());
@@ -248,8 +284,9 @@ void AdmissionCache::storeCheck(const serial::ModuleHash &Key, CheckResult R) {
   E.Bytes = checkBytes(R);
   E.Check = std::move(R);
   Impl &I = shardFor(Key);
+  Impl::Lru Dead;
   std::lock_guard<std::mutex> G(I.M);
-  I.insert(Impl::Kind::Check, Key, std::move(E), ShardBudget);
+  I.insert(Impl::Kind::Check, Key, std::move(E), ShardBudget, Dead);
 }
 
 std::shared_ptr<const LoweredArtifact>
@@ -264,7 +301,7 @@ AdmissionCache::lookupProgram(const serial::ModuleHash &Key) {
   }
   ++I.St.ProgramHits;
   I.touch(It->second);
-  return It->second->Art;
+  return It->second->Ver.Art;
 }
 
 void AdmissionCache::storeProgram(const serial::ModuleHash &Key,
@@ -278,10 +315,47 @@ void AdmissionCache::storeProgram(const serial::ModuleHash &Key,
   E.K = Impl::Kind::Program;
   E.Key = Key;
   E.Bytes = artifactBytes(*Art);
-  E.Art = std::move(Art);
+  E.Ver.Art = std::move(Art);
+  Impl &I = shardFor(Key);
+  Impl::Lru Dead;
+  std::lock_guard<std::mutex> G(I.M);
+  I.insert(Impl::Kind::Program, Key, std::move(E), ShardBudget, Dead);
+}
+
+std::optional<VerifiedModule>
+AdmissionCache::lookupVerified(const std::vector<uint8_t> &Bytes) {
+  OBS_SPAN("cache_probe");
+  serial::ModuleHash Key = BytesKey(Bytes);
   Impl &I = shardFor(Key);
   std::lock_guard<std::mutex> G(I.M);
-  I.insert(Impl::Kind::Program, Key, std::move(E), ShardBudget);
+  auto It = I.Verified.find(Key);
+  if (It == I.Verified.end() || It->second->Input != Bytes) {
+    ++I.St.ProgramMisses;
+    return std::nullopt;
+  }
+  ++I.St.ProgramHits;
+  I.touch(It->second);
+  return It->second->Ver;
+}
+
+void AdmissionCache::storeVerified(const std::vector<uint8_t> &Bytes,
+                                   VerifiedModule V) {
+  OBS_SPAN("cache_store");
+  if (RW_FAULT_POINT(support::fault::Seam::CacheStore))
+    return;
+  if (!V.Art)
+    return;
+  serial::ModuleHash Key = BytesKey(Bytes);
+  Impl::Entry E;
+  E.K = Impl::Kind::Verified;
+  E.Key = Key;
+  E.Bytes = artifactBytes(*V.Art) + Bytes.size();
+  E.Ver = std::move(V);
+  E.Input = Bytes;
+  Impl &I = shardFor(Key);
+  Impl::Lru Dead;
+  std::lock_guard<std::mutex> G(I.M);
+  I.insert(Impl::Kind::Verified, Key, std::move(E), ShardBudget, Dead);
 }
 
 CacheStats AdmissionCache::stats() const {
@@ -308,10 +382,12 @@ CacheStats AdmissionCache::shardStats(unsigned Shard) const {
 
 void AdmissionCache::clear() {
   for (const std::unique_ptr<Impl> &I : Sh) {
+    Impl::Lru Dead;
     std::lock_guard<std::mutex> G(I->M);
-    I->Recency.clear();
+    Dead.swap(I->Recency);
     I->Checks.clear();
     I->Programs.clear();
+    I->Verified.clear();
     I->St.Bytes = 0;
     I->St.Entries = 0;
   }

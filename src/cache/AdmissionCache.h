@@ -20,7 +20,12 @@
 ///     the Wasm module, runtime/GC metadata, and the flat bytecode from
 ///     exec::translate, so a warm resubmission through
 ///     link::instantiateLowered (LinkOptions::Cache) skips straight to
-///     instantiation on either engine.
+///     instantiation on either engine;
+///   * per verified byte string — the exact RWBM bytes ingest::admit
+///     accepted, with their lowered artifact and the module counts
+///     ingest::Limits caps. A resubmission of the same bytes skips
+///     reading, checking and hashing the module. Every hit compares the
+///     full stored bytes, so a key collision degrades to a miss.
 ///
 /// Entries hold no arena nodes (verdicts are strings, artifacts are pure
 /// Wasm), so cached results survive TypeArena rollback and need no
@@ -70,14 +75,24 @@ struct LoweredArtifact {
   exec::FlatModule Flat;
 };
 
+/// What the verified-bytes index serves: the artifact of one admitted
+/// RWBM module, plus its function, global and table-entry counts so a hit
+/// can re-apply the caller's ingest::Limits.
+struct VerifiedModule {
+  std::shared_ptr<const LoweredArtifact> Art;
+  uint64_t Funcs = 0;
+  uint64_t Globals = 0;
+  uint64_t Elems = 0;
+};
+
 /// Hit/miss/eviction counters and the current resident size. Bytes are
 /// estimates (sizeof-based for artifacts), consistent with what eviction
 /// accounts against the budget.
 struct CacheStats {
   uint64_t CheckHits = 0;
   uint64_t CheckMisses = 0;
-  uint64_t ProgramHits = 0;
-  uint64_t ProgramMisses = 0;
+  uint64_t ProgramHits = 0;   ///< Program-key and verified-bytes hits.
+  uint64_t ProgramMisses = 0; ///< Program-key and verified-bytes misses.
   uint64_t Evictions = 0;
   uint64_t Bytes = 0;   ///< Resident entry bytes.
   uint64_t Entries = 0; ///< Resident entry count.
@@ -116,6 +131,20 @@ public:
   void storeProgram(const serial::ModuleHash &Key,
                     std::shared_ptr<const LoweredArtifact> Art);
 
+  /// Verified-bytes memoization. lookup returns the entry whose stored
+  /// bytes equal \p Bytes exactly, counting a program hit or miss; store
+  /// charges the entry its artifact plus \p Bytes. Only bytes that were
+  /// fully admitted may be stored. When two byte strings share a key, the
+  /// resident one stays and the other is never served.
+  std::optional<VerifiedModule>
+  lookupVerified(const std::vector<uint8_t> &Bytes);
+  void storeVerified(const std::vector<uint8_t> &Bytes, VerifiedModule V);
+
+  /// Replaces the key function of the verified-bytes index, so a test can
+  /// force distinct byte strings onto one key. Call before any use.
+  using BytesKeyFn = serial::ModuleHash (*)(const std::vector<uint8_t> &);
+  void setBytesKeyForTesting(BytesKeyFn Fn) { BytesKey = Fn; }
+
   uint64_t byteBudget() const { return Budget; }
   unsigned shardCount() const { return NumShards; }
   /// Aggregate across all shards.
@@ -132,6 +161,7 @@ private:
   const unsigned NumShards;
   const uint64_t ShardBudget;
   std::vector<std::unique_ptr<Impl>> Sh;
+  BytesKeyFn BytesKey;
   /// obs registry handle ("cache.*" snapshot source); 0 when compiled out.
   uint64_t ObsSourceId = 0;
 };

@@ -6,7 +6,7 @@
 
 #include "ingest/Ingest.h"
 
-#include "ir/TypeArena.h"
+#include "cache/AdmissionCache.h"
 #include "obs/Obs.h"
 #include "serial/Serial.h"
 #include "typing/Checker.h"
@@ -118,8 +118,8 @@ Category classifySerial(const std::string &Msg) {
   return Category::Malformed;
 }
 
-/// Classifies a link::instantiateLowered failure by the stage contexts the
-/// admission pipeline attaches to its errors.
+/// Classifies a link::lowerArtifact or link::instantiateArtifact failure
+/// by the stage contexts the admission pipeline attaches to its errors.
 Category classifyAdmission(const std::string &Msg) {
   if (Msg.find("validation") != std::string::npos)
     return Category::Validate;
@@ -167,54 +167,84 @@ Expected<AdmittedModule> admitWasm(const std::vector<uint8_t> &Bytes,
   return std::move(A);
 }
 
+/// Applies the count caps of \p L to \p V. A hit on the verified-bytes
+/// index re-applies them from the stored counts, so a stricter policy
+/// rejects cached bytes exactly as it rejects fresh ones.
+std::optional<Error> checkCounts(const cache::VerifiedModule &V,
+                                 const Limits &L, IngestError *ErrOut) {
+  if (V.Funcs > L.MaxFuncs)
+    return reject(ErrOut, Category::LimitExceeded, 0,
+                  "module has " + std::to_string(V.Funcs) +
+                      " functions, limit is " + std::to_string(L.MaxFuncs));
+  if (V.Globals > L.MaxGlobals)
+    return reject(ErrOut, Category::LimitExceeded, 0,
+                  "module has " + std::to_string(V.Globals) +
+                      " globals, limit is " + std::to_string(L.MaxGlobals));
+  if (V.Elems > L.MaxElems)
+    return reject(ErrOut, Category::LimitExceeded, 0,
+                  "module has " + std::to_string(V.Elems) +
+                      " table entries, limit is " +
+                      std::to_string(L.MaxElems));
+  return std::nullopt;
+}
+
 Expected<AdmittedModule> admitRichWasm(const std::vector<uint8_t> &Bytes,
                                        const Limits &L,
                                        const link::LinkOptions &Opts,
                                        IngestError *ErrOut) {
+  // Hot path: these exact bytes were admitted before (the cache compares
+  // the full bytes on every hit). Read, check and lower are a function of
+  // the bytes alone, and the Limits counts and instance options are
+  // re-applied below, so the stored artifact is the one a fresh
+  // admission would build.
+  std::optional<cache::VerifiedModule> V;
+  if (Opts.Cache)
+    V = Opts.Cache->lookupVerified(Bytes);
+  const bool Hit = V.has_value();
+
   // A private arena per admission: a rejected module's types die with it,
   // so hostile bytes cannot grow the process-wide arena (which has no
-  // eviction). serial::read additionally probes a scratch arena first, so
-  // even the private arena only ever holds a structurally valid module.
-  auto Arena = std::make_shared<ir::TypeArena>();
-  Expected<ir::Module> M = serial::read(Bytes, Arena);
-  if (!M)
-    return reject(ErrOut, classifySerial(M.error().message()), 0,
-                  M.error().message());
+  // eviction). readPrivate parses once, into that arena.
+  std::optional<ir::Module> M;
+  if (!Hit) {
+    Expected<ir::Module> R = serial::readPrivate(Bytes);
+    if (!R)
+      return reject(ErrOut, classifySerial(R.error().message()), 0,
+                    R.error().message());
+    M.emplace(R.take());
+    V = cache::VerifiedModule{nullptr, M->Funcs.size(), M->Globals.size(),
+                              M->Tab.Entries.size()};
+  }
+  if (std::optional<Error> E = checkCounts(*V, L, ErrOut))
+    return std::move(*E);
 
-  if (M->Funcs.size() > L.MaxFuncs)
-    return reject(ErrOut, Category::LimitExceeded, 0,
-                  "module has " + std::to_string(M->Funcs.size()) +
-                      " functions, limit is " + std::to_string(L.MaxFuncs));
-  if (M->Globals.size() > L.MaxGlobals)
-    return reject(ErrOut, Category::LimitExceeded, 0,
-                  "module has " + std::to_string(M->Globals.size()) +
-                      " globals, limit is " + std::to_string(L.MaxGlobals));
-  if (M->Tab.Entries.size() > L.MaxElems)
-    return reject(ErrOut, Category::LimitExceeded, 0,
-                  "module has " + std::to_string(M->Tab.Entries.size()) +
-                      " table entries, limit is " +
-                      std::to_string(L.MaxElems));
+  if (!Hit) {
+    // Check explicitly (precise Category::Check attribution), then hand
+    // the InfoMap to lowering so it runs zero further checks.
+    std::vector<typing::InfoMap> Infos(1);
+    if (Status S = typing::checkModule(*M, &Infos[0]); !S)
+      return reject(ErrOut, Category::Check, 0, S.error().message());
+    link::LinkOptions LO = Opts;
+    LO.Infos = &Infos;
+    Expected<std::shared_ptr<const cache::LoweredArtifact>> Art =
+        link::lowerArtifact({&*M}, LO);
+    if (!Art)
+      return reject(ErrOut, classifyAdmission(Art.error().message()), 0,
+                    Art.error().message());
+    V->Art = Art.take();
+  }
 
-  AdmittedModule A;
-  A.R = Route::RichWasm;
-  A.RichMod = std::make_unique<ir::Module>(M.take());
-
-  // Check explicitly (precise Category::Check attribution), then hand the
-  // InfoMap to the admission pipeline so it runs zero further checks.
-  std::vector<typing::InfoMap> Infos(1);
-  if (Status S = typing::checkModule(*A.RichMod, &Infos[0]); !S)
-    return reject(ErrOut, Category::Check, 0, S.error().message());
-
-  link::LinkOptions LO = Opts;
-  LO.TypeCheck = true;
-  LO.Infos = &Infos;
-  Expected<link::LoweredInstance> LI =
-      link::instantiateLowered({A.RichMod.get()}, LO);
+  Expected<link::LoweredInstance> LI = link::instantiateArtifact(V->Art, Opts);
   if (!LI)
     return reject(ErrOut, classifyAdmission(LI.error().message()), 0,
                   LI.error().message());
+  // Only fully admitted bytes are indexed, so rejections never change.
+  if (!Hit && Opts.Cache)
+    Opts.Cache->storeVerified(Bytes, std::move(*V));
+  AdmittedModule A;
+  A.R = Route::RichWasm;
   A.Lowered = LI.take();
-  return std::move(A);
+  return A;
 }
 
 } // namespace

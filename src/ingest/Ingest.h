@@ -17,12 +17,16 @@
 ///   * `\0asm` — a WebAssembly binary: wasm::decode under Limits,
 ///     wasm::validate with the operand-depth cap, then instantiation on
 ///     LinkOptions::Engine (flat translation included for Flat/Jit).
-///   * `RWBM`  — a serialized RichWasm module (serial/): serial::read
-///     into a *private* arena (a rejected admission leaves zero residue in
-///     the process-wide arena by construction), typing::checkModule, then
-///     the standard link/lower/validate/translate admission via
-///     link::instantiateLowered — cache, pool, and engine selection all
-///     honor the caller's LinkOptions.
+///   * `RWBM`  — a serialized RichWasm module (serial/). With
+///     LinkOptions::Cache set, the exact bytes are first probed in the
+///     cache's verified-bytes index. A hit re-applies the Limits counts
+///     and goes straight to instantiation: no arena, no read, no check.
+///     A miss runs serial::readPrivate into a *private* arena (a rejected
+///     admission leaves zero residue in the process-wide arena by
+///     construction), typing::checkModule, then link::lowerArtifact and
+///     link::instantiateArtifact, honoring the caller's pool, engine and
+///     instance options. Only bytes that are admitted in full are stored
+///     in the index. A hit and a miss return the same AdmittedModule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +34,6 @@
 #define RICHWASM_INGEST_INGEST_H
 
 #include "ingest/Limits.h"
-#include "ir/Module.h"
 #include "link/Link.h"
 #include "support/Error.h"
 #include "wasm/Instance.h"
@@ -51,17 +54,14 @@ inline const char *routeName(Route R) {
 struct AdmittedModule {
   Route R = Route::Wasm;
   /// FNV-1a of the admitted input bytes (both routes) — a cheap identity
-  /// for logs; the RichWasm route's cache key is the content hash inside
-  /// link::instantiateLowered.
+  /// for logs and the trace-sampling key.
   uint64_t InputHash = 0;
 
   /// Wasm route: the decoded module (the instance borrows it).
   std::unique_ptr<wasm::WModule> WasmMod;
   std::unique_ptr<wasm::Instance> WasmInst;
 
-  /// RichWasm route: the parsed module (owns its private arena via
-  /// ir::Module::Arena) and the lowered program + instance.
-  std::unique_ptr<ir::Module> RichMod;
+  /// RichWasm route: the lowered program + instance.
   link::LoweredInstance Lowered;
 
   /// The live instance, whichever route produced it.

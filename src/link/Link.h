@@ -35,6 +35,7 @@
 
 namespace rw::cache {
 class AdmissionCache;
+struct LoweredArtifact;
 } // namespace rw::cache
 
 namespace rw::support {
@@ -126,9 +127,26 @@ struct LoweredInstance {
 /// Type-checks, links, and lowers \p Mods (modules in link order, like
 /// instantiate), then instantiates the lowered Wasm module on the
 /// engine chosen in \p Opts. Module pointers must outlive the result.
+/// With Opts.Cache this is: probe the program key, lowerArtifact on a
+/// miss and store it, then instantiateArtifact.
 Expected<LoweredInstance>
 instantiateLowered(const std::vector<const ir::Module *> &Mods,
                    const LinkOptions &Opts = LinkOptions());
+
+/// The cold half of instantiateLowered, with no cache probe or store:
+/// resolves, lowers, validates and translates \p Mods into an artifact.
+/// With Opts.Cache set the artifact is always validated and translated,
+/// so it can serve every engine. The artifact owns no arena nodes.
+Expected<std::shared_ptr<const cache::LoweredArtifact>>
+lowerArtifact(const std::vector<const ir::Module *> &Mods,
+              const LinkOptions &Opts);
+
+/// The warm half of instantiateLowered: instantiates \p Art on
+/// Opts.Engine, honoring RunStart, Profile and JitThreshold. A Flat or
+/// Jit engine needs an artifact that carries its flat translation.
+Expected<LoweredInstance>
+instantiateArtifact(std::shared_ptr<const cache::LoweredArtifact> Art,
+                    const LinkOptions &Opts);
 
 } // namespace rw::link
 

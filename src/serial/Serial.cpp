@@ -1643,6 +1643,38 @@ uint64_t getU64LE(const uint8_t *D) {
   return V;
 }
 
+/// Checks the header of \p Bytes and returns the payload length.
+Expected<uint64_t> payloadLength(const std::vector<uint8_t> &Bytes) {
+  if (Bytes.size() < HeaderSize)
+    return Error("truncated header");
+  if (std::memcmp(Bytes.data(), Magic, 4) != 0)
+    return Error("bad magic (not a RichWasm binary module)");
+  uint32_t Ver = getU32LE(Bytes.data() + 4);
+  if (Ver != FormatVersion)
+    return Error("unsupported format version " + std::to_string(Ver) +
+                 " (expected " + std::to_string(FormatVersion) + ")");
+  uint64_t Len = getU64LE(Bytes.data() + 8);
+  if (Len != Bytes.size() - HeaderSize)
+    return Error("payload length mismatch");
+  uint64_t Sum = getU64LE(Bytes.data() + 16);
+  if (Sum != fnv1a(Bytes.data() + HeaderSize, Len))
+    return Error("payload checksum mismatch");
+  return Len;
+}
+
+/// Parses the \p Len payload bytes after the header into \p Arena, which
+/// the returned module owns.
+Expected<ir::Module> parsePayload(const std::vector<uint8_t> &Bytes,
+                                  uint64_t Len,
+                                  std::shared_ptr<TypeArena> Arena) {
+  ir::Module M;
+  M.Arena = Arena;
+  Reader R(Bytes.data() + HeaderSize, Len, *Arena);
+  if (!R.run(M))
+    return Error("malformed module: " + R.error());
+  return M;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -1682,20 +1714,9 @@ Expected<ir::Module> rw::serial::read(const std::vector<uint8_t> &Bytes,
   BytesRead.add(Bytes.size());
   if (!Arena)
     return Error("null target arena");
-  if (Bytes.size() < HeaderSize)
-    return Error("truncated header");
-  if (std::memcmp(Bytes.data(), Magic, 4) != 0)
-    return Error("bad magic (not a RichWasm binary module)");
-  uint32_t Ver = getU32LE(Bytes.data() + 4);
-  if (Ver != FormatVersion)
-    return Error("unsupported format version " + std::to_string(Ver) +
-                 " (expected " + std::to_string(FormatVersion) + ")");
-  uint64_t Len = getU64LE(Bytes.data() + 8);
-  if (Len != Bytes.size() - HeaderSize)
-    return Error("payload length mismatch");
-  uint64_t Sum = getU64LE(Bytes.data() + 16);
-  if (Sum != fnv1a(Bytes.data() + HeaderSize, Len))
-    return Error("payload checksum mismatch");
+  Expected<uint64_t> Len = payloadLength(Bytes);
+  if (!Len)
+    return Len.error();
 
   // Two-phase decode: parse into a throwaway arena first, so a payload
   // that fails *structural* validation (the checksum is not a MAC — an
@@ -1705,22 +1726,26 @@ Expected<ir::Module> rw::serial::read(const std::vector<uint8_t> &Bytes,
   // quiescence the reader cannot assume. Only a fully validated payload
   // is re-parsed into the target, which then gains exactly the module's
   // own nodes. Short-lived arenas are cheap (lazy leaf caches), so the
-  // cost is one extra parse on the success path — off the warm path,
-  // which is served by the cache on content hashes, not by read().
-  {
-    TypeArena Scratch;
-    ir::Module Probe;
-    Reader R(Bytes.data() + HeaderSize, Len, Scratch);
-    if (!R.run(Probe))
-      return Error("malformed module: " + R.error());
-  }
+  // cost is one extra parse on the success path. ingest::admit pays
+  // neither parse when warm: it serves re-admissions from the cache's
+  // verified-bytes index, not by read(). Its cold path uses
+  // readPrivate(), whose target is itself throwaway.
+  if (Expected<ir::Module> Probe =
+          parsePayload(Bytes, *Len, std::make_shared<TypeArena>());
+      !Probe)
+    return Probe.error();
+  return parsePayload(Bytes, *Len, std::move(Arena));
+}
 
-  ir::Module M;
-  M.Arena = Arena;
-  Reader R(Bytes.data() + HeaderSize, Len, *Arena);
-  if (!R.run(M))
-    return Error("malformed module: " + R.error());
-  return M;
+Expected<ir::Module>
+rw::serial::readPrivate(const std::vector<uint8_t> &Bytes) {
+  OBS_SPAN("serial_read", Bytes.size());
+  static obs::Counter BytesRead("serial.bytes_read");
+  BytesRead.add(Bytes.size());
+  Expected<uint64_t> Len = payloadLength(Bytes);
+  if (!Len)
+    return Len.error();
+  return parsePayload(Bytes, *Len, std::make_shared<TypeArena>());
 }
 
 serial::ModuleHash rw::serial::moduleHash(const ir::Module &M) {

@@ -69,6 +69,12 @@ Expected<ir::Module>
 read(const std::vector<uint8_t> &Bytes,
      std::shared_ptr<ir::TypeArena> Arena = ir::TypeArena::globalPtr());
 
+/// Parses \p Bytes in one pass into a fresh arena that the returned
+/// module owns. read() parses twice so that a rejected payload cannot
+/// grow a caller's arena. Here a rejected payload's arena dies with the
+/// error, so the second parse would buy nothing.
+Expected<ir::Module> readPrivate(const std::vector<uint8_t> &Bytes);
+
 /// 128-bit module content hash (see file comment). Stable across arenas
 /// and process runs; independent of the interning order.
 struct ModuleHash {

@@ -13,6 +13,9 @@
 //  * LRU byte budget — recency decides eviction, stats account bytes and
 //    evictions exactly, and evicting an artifact never invalidates a
 //    running instance;
+//  * verified bytes — an ingest::admit re-admission is served only for
+//    byte-equal input, even when keys collide, re-applies the caller's
+//    Limits, and the index entry owns and is charged for its artifact;
 //  * thread safety — concurrent probes/stores from the PR 3 pool (the
 //    TSan job runs this binary).
 //
@@ -21,6 +24,7 @@
 #include "cache/AdmissionCache.h"
 
 #include "bench/Common.h"
+#include "ingest/Ingest.h"
 #include "obs/Obs.h"
 #include "support/ThreadPool.h"
 
@@ -289,6 +293,124 @@ TEST(Cache, OversizedArtifactIsRejectedWithoutFlushingResidents) {
 }
 
 //===----------------------------------------------------------------------===//
+// Verified-bytes index
+//===----------------------------------------------------------------------===//
+
+std::shared_ptr<const cache::LoweredArtifact>
+artifactOf(const ir::Module &M, cache::AdmissionCache &C) {
+  link::LinkOptions Opts;
+  Opts.Cache = &C; // A cacheable artifact: validated and translated.
+  auto A = link::lowerArtifact({&M}, Opts);
+  EXPECT_TRUE(bool(A)) << A.error().message();
+  return A ? A.take() : nullptr;
+}
+
+TEST(Cache, VerifiedEntryOwnsAndIsChargedItsArtifact) {
+  ir::Module M1 = okModule(1), M2 = okModule(2);
+  std::vector<uint8_t> B1 = serial::write(M1), B2 = serial::write(M2);
+  cache::AdmissionCache P, C;
+  auto Art = artifactOf(M1, C);
+  P.storeProgram({1, 1}, Art);
+  C.storeVerified(B1, {Art, 1, 0, 0});
+  uint64_t Charge1 = C.stats().Bytes;
+  EXPECT_EQ(Charge1, P.stats().Bytes + B1.size());
+
+  auto Hit = C.lookupVerified(B1);
+  ASSERT_TRUE(Hit.has_value());
+  EXPECT_EQ(Hit->Art, Art);
+  EXPECT_EQ(Hit->Funcs, 1u);
+  std::vector<uint8_t> Edited = B1;
+  Edited.back() ^= 1;
+  EXPECT_FALSE(C.lookupVerified(Edited).has_value());
+  EXPECT_EQ(C.stats().ProgramHits, 1u);
+  EXPECT_EQ(C.stats().ProgramMisses, 1u);
+
+  // A budget that holds either entry but not both: storing the second
+  // evicts the first, and with it the last owner of its artifact.
+  C.storeVerified(B2, {artifactOf(M2, C), 1, 0, 0});
+  uint64_t Charge2 = C.stats().Bytes - Charge1;
+  cache::AdmissionCache D(Charge1 + Charge2 - 1);
+  D.storeVerified(B1, {artifactOf(M1, D), 1, 0, 0});
+  std::weak_ptr<const cache::LoweredArtifact> W = D.lookupVerified(B1)->Art;
+  EXPECT_FALSE(W.expired());
+  D.storeVerified(B2, {artifactOf(M2, D), 1, 0, 0});
+  EXPECT_EQ(D.stats().Evictions, 1u);
+  EXPECT_LE(D.stats().Bytes, D.byteBudget());
+  EXPECT_TRUE(W.expired()) << "an evicted entry kept its artifact alive";
+  EXPECT_FALSE(D.lookupVerified(B1).has_value());
+  EXPECT_TRUE(D.lookupVerified(B2).has_value());
+}
+
+std::string runMain(Expected<ingest::AdmittedModule> &A) {
+  if (!A)
+    return "rejected: " + A.error().message();
+  auto R = A->invoke("loopmod.main", {});
+  return R ? std::to_string((*R)[0].Bits) : "trap: " + R.error().message();
+}
+
+TEST(Cache, ForcedBytesKeyCollisionDegradesToMiss) {
+  cache::AdmissionCache C;
+  C.setBytesKeyForTesting(
+      [](const std::vector<uint8_t> &) { return serial::ModuleHash{7, 7}; });
+  link::LinkOptions Opts;
+  Opts.Cache = &C;
+  Opts.Engine = wasm::EngineKind::Flat;
+  std::vector<uint8_t> First = serial::write(rwbench::loopModule(10));
+  std::vector<uint8_t> Second = serial::write(rwbench::loopModule(7));
+  std::vector<uint8_t> IllTyped = serial::write(badModule(1));
+
+  auto A = ingest::admit(First, ingest::Limits(), Opts);
+  EXPECT_EQ(runMain(A), "55");
+  // Same key, different bytes: a miss with the second module's own result.
+  auto B = ingest::admit(Second, ingest::Limits(), Opts);
+  EXPECT_EQ(runMain(B), "28");
+  ingest::IngestError E;
+  EXPECT_FALSE(ingest::admit(IllTyped, ingest::Limits(), Opts, &E));
+  EXPECT_EQ(E.Cat, ingest::Category::Check) << E.render();
+  EXPECT_EQ(C.stats().ProgramHits, 0u);
+  EXPECT_EQ(C.stats().ProgramMisses, 3u);
+
+  // The first entry stays resident and served; the second stays a miss.
+  auto A2 = ingest::admit(First, ingest::Limits(), Opts);
+  EXPECT_EQ(runMain(A2), "55");
+  EXPECT_EQ(C.stats().ProgramHits, 1u);
+  auto B2 = ingest::admit(Second, ingest::Limits(), Opts);
+  EXPECT_EQ(runMain(B2), "28");
+  EXPECT_EQ(C.stats().ProgramHits, 1u);
+  EXPECT_EQ(C.stats().Entries, 1u);
+}
+
+TEST(Cache, StricterLimitsRejectAVerifiedHit) {
+  // Under -DRW_OBS=OFF the counter is pinned to zero.
+  const uint64_t One = obs::compiledIn() ? 1 : 0;
+  obs::Counter Rejected("ingest.rejected.limit_exceeded");
+  ir::Module M = rwbench::wideModule(4);
+  M.Tab.Entries = {0, 1, 2};
+  std::vector<uint8_t> B = serial::write(M);
+  cache::AdmissionCache C;
+  link::LinkOptions Opts;
+  Opts.Cache = &C;
+  auto A = ingest::admit(B, ingest::Limits(), Opts);
+  ASSERT_TRUE(bool(A)) << A.error().message();
+
+  ingest::Limits FewFuncs, FewElems;
+  FewFuncs.MaxFuncs = 3;
+  FewElems.MaxElems = 2;
+  for (const ingest::Limits &L : {FewFuncs, FewElems}) {
+    uint64_t Hits = C.stats().ProgramHits, R0 = Rejected.value();
+    ingest::IngestError Hot, Fresh;
+    EXPECT_FALSE(ingest::admit(B, L, Opts, &Hot));
+    EXPECT_EQ(C.stats().ProgramHits, Hits + 1) << "not served from the index";
+    EXPECT_EQ(Hot.Cat, ingest::Category::LimitExceeded) << Hot.render();
+    EXPECT_EQ(Rejected.value(), R0 + One);
+    EXPECT_FALSE(ingest::admit(B, L, {}, &Fresh));
+    EXPECT_EQ(Hot.render(), Fresh.render());
+  }
+  auto Again = ingest::admit(B, ingest::Limits(), Opts);
+  EXPECT_TRUE(bool(Again)) << Again.error().message();
+}
+
+//===----------------------------------------------------------------------===//
 // Concurrency (TSan)
 //===----------------------------------------------------------------------===//
 
@@ -328,6 +450,37 @@ TEST(Cache, ConcurrentProbesAndStoresAreSafe) {
   });
   for (size_t I = 1; I < Outs.size(); ++I)
     EXPECT_EQ(Outs[I], Outs[0]);
+}
+
+TEST(Cache, ConcurrentVerifiedAdmissionsAreSafe) {
+  // One entry per shard, six byte strings over four shards: hits, misses,
+  // stores and evictions interleave across the pool's threads.
+  std::vector<std::vector<uint8_t>> Bs;
+  for (int32_t N = 2; N < 8; ++N)
+    Bs.push_back(serial::write(rwbench::loopModule(N)));
+  link::LinkOptions Opts;
+  Opts.Engine = wasm::EngineKind::Flat;
+  cache::AdmissionCache Probe;
+  Opts.Cache = &Probe;
+  ASSERT_TRUE(bool(ingest::admit(Bs.back(), ingest::Limits(), Opts)));
+  uint64_t Charge = Probe.stats().Bytes;
+
+  cache::AdmissionCache C(Charge * 3 / 2 * 4, 4);
+  Opts.Cache = &C;
+  support::ThreadPool Pool(4);
+  constexpr size_t N = 96;
+  std::vector<std::string> Got(N);
+  Pool.parallelFor(N, [&](size_t I) {
+    auto A = ingest::admit(Bs[I % Bs.size()], ingest::Limits(), Opts);
+    Got[I] = runMain(A);
+  });
+  for (size_t I = 0; I < N; ++I) {
+    uint32_t K = static_cast<uint32_t>(I % Bs.size()) + 2;
+    EXPECT_EQ(Got[I], std::to_string(K * (K + 1) / 2)) << I;
+  }
+  cache::CacheStats S = C.stats();
+  EXPECT_EQ(S.ProgramHits + S.ProgramMisses, N);
+  EXPECT_LE(S.Bytes, C.byteBudget());
 }
 
 //===----------------------------------------------------------------------===//

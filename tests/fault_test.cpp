@@ -165,19 +165,28 @@ TEST_F(Fault, CacheStoreFailureDegradesToUncachedAdmission) {
   EXPECT_EQ(C.stats().Entries, 0u)
       << "a failed store must not leave a partial entry";
 
-  // Re-admission recomputes (a miss again, not a hit on garbage).
+  // Re-admission takes the slow path again (a miss, not a hit on
+  // garbage) with the same result.
   auto A2 = ingest::admit(B, ingest::Limits(), Opts);
   ASSERT_TRUE(A2) << A2.error().message();
   auto R2 = A2->invoke("loopmod.main", {});
   ASSERT_TRUE(R2) << R2.error().message();
   EXPECT_EQ((*R2)[0].Bits, 55u);
   EXPECT_EQ(C.stats().hits(), 0u);
+  EXPECT_EQ(C.stats().ProgramMisses, 2u);
 
-  // Once the seam heals, the same cache starts retaining entries.
+  // Once the seam heals, the same cache starts retaining entries, and
+  // the next re-admission is a hit with the same result.
   fault::disarm(Seam::CacheStore);
   auto A3 = ingest::admit(B, ingest::Limits(), Opts);
   ASSERT_TRUE(A3) << A3.error().message();
   EXPECT_GT(C.stats().Entries, 0u);
+  auto A4 = ingest::admit(B, ingest::Limits(), Opts);
+  ASSERT_TRUE(A4) << A4.error().message();
+  EXPECT_EQ(C.stats().ProgramHits, 1u);
+  auto R4 = A4->invoke("loopmod.main", {});
+  ASSERT_TRUE(R4) << R4.error().message();
+  EXPECT_EQ((*R4)[0].Bits, 55u);
 }
 
 TEST_F(Fault, MidAdmissionAllocFailuresRejectCleanly) {

@@ -8,17 +8,21 @@
 // admit real modules and run them to the right answers; every rejection
 // carries the right taxonomy category; admission is *total* under a 10k
 // deterministic mutation battery (truncations, bit flips, section
-// splices) with zero residue in the process-wide type arena; and the obs
-// counters account for every admission outcome.
+// splices) with zero residue in the process-wide type arena; the obs
+// counters account for every admission outcome; and a cached re-admission
+// is served from the verified-bytes index only for the exact bytes that
+// were admitted.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/Common.h"
+#include "cache/AdmissionCache.h"
 #include "ingest/Ingest.h"
 #include "ir/TypeArena.h"
 #include "lower/Lower.h"
 #include "obs/Obs.h"
 #include "serial/Serial.h"
+#include "support/Hashing.h"
 #include "wasm/Binary.h"
 
 #include <gtest/gtest.h>
@@ -40,6 +44,29 @@ std::vector<uint8_t> wasmBytes(const ir::Module &M) {
 
 uint64_t globalArenaNodes() {
   return ir::TypeArena::globalPtr()->stats().totalNodes();
+}
+
+/// Rewrites the RWBM header checksum so an edited payload passes it.
+void fixChecksum(std::vector<uint8_t> &B) {
+  uint64_t Sum = support::fnv1a(B.data() + serial::HeaderSize,
+                                B.size() - serial::HeaderSize);
+  for (int I = 0; I < 8; ++I)
+    B[serial::HeaderSize - 8 + I] = static_cast<uint8_t>(Sum >> (8 * I));
+}
+
+/// The whole observable outcome of one admission: the rejection, or the
+/// result (or trap) of running `loopmod.main` under a small fuel budget.
+std::string verdict(const std::vector<uint8_t> &B,
+                    const link::LinkOptions &Opts) {
+  IngestError E;
+  Expected<ingest::AdmittedModule> A = ingest::admit(B, Limits(), Opts, &E);
+  if (!A)
+    return std::string("rejected ") + ingest::categoryName(E.Cat) + ": " +
+           E.Context;
+  auto R = A->invoke("loopmod.main", {}, 100000);
+  if (!R)
+    return "admitted, trap: " + R.error().message();
+  return "admitted, result " + std::to_string(R->empty() ? 0 : (*R)[0].Bits);
 }
 
 TEST(Ingest, WasmRouteAdmitsAndRuns) {
@@ -162,6 +189,72 @@ TEST(Ingest, CountersAccountForEveryOutcome) {
   ASSERT_FALSE(ingest::admit(Good, Tiny));
   EXPECT_EQ(RejLarge.value(), L0 + One);
   EXPECT_EQ(Accepted.value(), A0 + One) << "rejections never count accepted";
+}
+
+TEST(Ingest, HotReadmissionSkipsReadAndCheck) {
+  // Under -DRW_OBS=OFF the read counter is pinned to zero, so the expected
+  // delta is zero too.
+  const uint64_t One = obs::compiledIn() ? 1 : 0;
+  obs::Counter BytesRead("serial.bytes_read");
+  std::vector<uint8_t> B = serial::write(rwbench::loopModule(10));
+  for (wasm::EngineKind K : {wasm::EngineKind::Flat, wasm::EngineKind::Jit}) {
+    cache::AdmissionCache C;
+    link::LinkOptions Opts;
+    Opts.Cache = &C;
+    Opts.Engine = K;
+    uint64_t R0 = BytesRead.value();
+    auto Cold = ingest::admit(B, Limits(), Opts);
+    ASSERT_TRUE(Cold) << Cold.error().message();
+    EXPECT_EQ(BytesRead.value(), R0 + One * B.size());
+    EXPECT_EQ(C.stats().ProgramMisses, 1u);
+
+    Opts.Profile = true;
+    auto Hot = ingest::admit(B, Limits(), Opts);
+    ASSERT_TRUE(Hot) << Hot.error().message();
+    EXPECT_EQ(C.stats().ProgramHits, 1u);
+    EXPECT_EQ(C.stats().ProgramMisses, 1u);
+    EXPECT_EQ(BytesRead.value(), R0 + One * B.size())
+        << "a hot re-admission read the bytes again";
+
+    auto RC = Cold->invoke("loopmod.main", {});
+    auto RH = Hot->invoke("loopmod.main", {});
+    ASSERT_TRUE(RC) << RC.error().message();
+    ASSERT_TRUE(RH) << RH.error().message();
+    EXPECT_EQ((*RC)[0].Bits, 55u);
+    EXPECT_EQ((*RH)[0].Bits, 55u);
+    EXPECT_FALSE(Cold->instance()->profilingEnabled());
+    ASSERT_TRUE(Hot->instance()->profilingEnabled());
+    uint64_t Calls = 0;
+    for (const wasm::FunctionProfile &P : Hot->instance()->functionProfiles())
+      Calls += P.Invocations;
+    EXPECT_GT(Calls, 0u) << "the hot instance did not profile";
+  }
+}
+
+TEST(Ingest, OneByteVariantIsNeverServedTheHotArtifact) {
+  // Each single-bit edit of the payload, with its checksum repaired, must
+  // miss the index and get the verdict an uncached admission gives it.
+  std::vector<uint8_t> B = serial::write(rwbench::loopModule(10));
+  cache::AdmissionCache C;
+  link::LinkOptions Cached;
+  Cached.Engine = wasm::EngineKind::Flat;
+  link::LinkOptions Fresh = Cached;
+  Cached.Cache = &C;
+  ASSERT_EQ(verdict(B, Cached), "admitted, result 55");
+
+  size_t Admitted = 0;
+  for (size_t I = serial::HeaderSize; I < B.size(); ++I) {
+    std::vector<uint8_t> V = B;
+    V[I] ^= 0x01;
+    fixChecksum(V);
+    uint64_t Hits = C.stats().ProgramHits;
+    std::string Want = verdict(V, Fresh);
+    EXPECT_EQ(verdict(V, Cached), Want) << "payload offset " << I;
+    EXPECT_EQ(C.stats().ProgramHits, Hits) << "payload offset " << I;
+    Admitted += Want.rfind("admitted", 0) == 0;
+  }
+  EXPECT_GT(Admitted, 0u) << "no variant reached the artifact stage";
+  EXPECT_EQ(verdict(B, Cached), "admitted, result 55");
 }
 
 TEST(Ingest, RejectedRichWasmAdmissionLeavesArenaClean) {

@@ -625,6 +625,36 @@ TEST(SerialFuzz, ChecksumRepairedByteFlipsNeverCrash) {
   (void)Accepted;
 }
 
+TEST(Serial, ReadPrivateAgreesWithRead) {
+  // readPrivate parses once, into an arena of its own. On every input it
+  // must give read()'s verdict, diagnostic and module.
+  std::vector<uint8_t> Bytes = serial::write(rwbench::wideModule(2));
+  auto P = serial::readPrivate(Bytes);
+  ASSERT_TRUE(bool(P)) << P.error().message();
+  EXPECT_NE(P->Arena, TypeArena::globalPtr());
+  EXPECT_EQ(serial::write(*P), Bytes);
+
+  std::mt19937_64 Rng(7);
+  unsigned Accepted = 0;
+  for (unsigned I = 0; I < 300; ++I) {
+    auto B = Bytes;
+    size_t Off = Rng() % B.size();
+    B[Off] ^= 1u << (Rng() % 8);
+    if (Off >= serial::HeaderSize && I % 4 != 0)
+      fixChecksum(B);
+    auto R = serial::read(B, std::make_shared<TypeArena>());
+    auto Q = serial::readPrivate(B);
+    ASSERT_EQ(bool(R), bool(Q)) << "offset " << Off;
+    if (R) {
+      ++Accepted;
+      EXPECT_EQ(serial::write(*R), serial::write(*Q)) << "offset " << Off;
+    } else {
+      EXPECT_EQ(R.error().message(), Q.error().message()) << "offset " << Off;
+    }
+  }
+  EXPECT_GT(Accepted, 0u);
+}
+
 TEST(Serial, FailedReadLeavesTargetArenaUntouched) {
   // The checksum is not a MAC: an attacker can ship a structurally
   // invalid payload with a valid checksum. Such a read must not grow the
