@@ -39,11 +39,8 @@ static ir::Module capModule(int32_t N, bool WithCaps) {
 
 static size_t countInsts(const std::vector<wasm::WInst> &B) {
   size_t N = 0;
-  for (const wasm::WInst &I : B) {
-    ++N;
-    N += countInsts(I.Body);
-    N += countInsts(I.Else);
-  }
+  for (const wasm::WInst &I : B) // Else/End are markers, not instructions.
+    N += I.K != wasm::Op::Else && I.K != wasm::Op::End;
   return N;
 }
 

@@ -32,6 +32,9 @@
 #                           [link-out.json] [cache-out.json] [server-out.json]
 set -euo pipefail
 
+# The inline summaries below import bench/bench_json.py.
+export PYTHONPATH="$(cd "$(dirname "$0")" && pwd)${PYTHONPATH:+:$PYTHONPATH}"
+
 BUILD_DIR="${1:-build}"
 OUT="${2:-BENCH_interp.json}"
 TYPING_OUT="${3:-BENCH_typing.json}"
@@ -118,19 +121,16 @@ if [[ "${RW_OBS_GATE:-0}" == "1" ]]; then
   python3 - "${BENCH_OBS_TOLERANCE_PCT:-2}" "$GATE_REPS" \
             "${ON_F7[@]}" "${ON_F4[@]}" "${OFF_F7[@]}" "${OFF_F4[@]}" \
             <<'EOF' || GATE_STATUS=$?
-import json, sys
+import sys
+from bench_json import entries, real_ns
 
 def series(paths):
     """name -> [best ns at rep 1, rep 2, ...] in path order."""
     out = {}
     for path in paths:
         rep = {}
-        for b in json.load(open(path))["benchmarks"]:
-            if b.get("run_type") == "aggregate":
-                continue
-            if b.get("error_occurred") or b.get("skipped"):
-                continue
-            ns = b["real_time"]
+        for b in entries(path):
+            ns = real_ns(b)
             if b["name"] not in rep or ns < rep[b["name"]]:
                 rep[b["name"]] = ns
         for name, ns in rep.items():
@@ -203,14 +203,10 @@ export BENCH_HOST_FP
 
 python3 - "$RAW" "$OUT" <<'EOF'
 import json, sys, math, os, datetime
+from bench_json import entries, real_ns
 
-raw = json.load(open(sys.argv[1]))
 runs = {}
-for b in raw["benchmarks"]:
-    if b.get("run_type") == "aggregate":
-        continue
-    if b.get("error_occurred") or b.get("skipped"):
-        continue
+for b in entries(sys.argv[1]):
     name = b["name"]  # e.g. F4_Wasm_Loop_Flat/1000
     runs.setdefault(name, []).append(b)
 
@@ -219,9 +215,9 @@ for name, bs in runs.items():
     base, _, arg = name.partition("/")
     parts = base.split("_")          # F4 Wasm <Workload> <Engine>
     workload, engine = parts[2], parts[3].lower()
-    best = min(bs, key=lambda b: b["real_time"])
+    best = min(bs, key=real_ns)
     engines[engine][f"{workload}/{arg}"] = {
-        "ns_per_invoke": best["real_time"],
+        "ns_per_invoke": real_ns(best),
         "insts_per_sec": best.get("insts/s"),
     }
 
@@ -302,19 +298,15 @@ EOF
 # per-benchmark speedups (the F7_CheckModule geomean gates checker PRs).
 python3 - "$TYPING_RAW" "$T1_RAW" "$TYPING_OUT" <<'EOF'
 import json, sys, math, os, datetime
+from bench_json import entries, real_ns
 
 results = {}
 for path in (sys.argv[1], sys.argv[2]):
-    raw = json.load(open(path))
-    for b in raw["benchmarks"]:
-        if b.get("run_type") == "aggregate":
-            continue
-        if b.get("error_occurred") or b.get("skipped"):
-            continue
+    for b in entries(path):
         cur = results.get(b["name"])
-        if cur is None or b["real_time"] < cur["ns"]:
+        if cur is None or real_ns(b) < cur["ns"]:
             results[b["name"]] = {
-                "ns": b["real_time"],
+                "ns": real_ns(b),
                 "per_sec": b.get("funcs/s") or b.get("programs/s"),
             }
 
@@ -361,17 +353,13 @@ EOF
 # target on multi-core; F3_ColdInstantiate tracks the bare lowered path).
 python3 - "$LINK_RAW" "$LINK_OUT" <<'EOF'
 import json, sys, datetime, os
+from bench_json import entries, real_ns
 
-raw = json.load(open(sys.argv[1]))
 results = {}
-for b in raw["benchmarks"]:
-    if b.get("run_type") == "aggregate":
-        continue
-    if b.get("error_occurred") or b.get("skipped"):
-        continue
+for b in entries(sys.argv[1]):
     cur = results.get(b["name"])
-    if cur is None or b["real_time"] < cur["ns"]:
-        entry = {"ns": b["real_time"]}
+    if cur is None or real_ns(b) < cur["ns"]:
+        entry = {"ns": real_ns(b)}
         if "imports/s" in b:
             entry["imports_per_sec"] = b["imports/s"]
         if "modules/s" in b:
@@ -448,17 +436,13 @@ EOF
 # instantiation.
 python3 - "$CACHE_RAW" "$CACHE_OUT" <<'EOF'
 import json, sys, datetime, os
+from bench_json import entries, real_ns
 
-raw = json.load(open(sys.argv[1]))
 results = {}
-for b in raw["benchmarks"]:
-    if b.get("run_type") == "aggregate":
-        continue
-    if b.get("error_occurred") or b.get("skipped"):
-        continue
+for b in entries(sys.argv[1]):
     cur = results.get(b["name"])
-    if cur is None or b["real_time"] < cur["ns"]:
-        entry = {"ns": b["real_time"]}
+    if cur is None or real_ns(b) < cur["ns"]:
+        entry = {"ns": real_ns(b)}
         for key in ("modules/s", "cache_hits", "cache_misses",
                     "cache_evictions", "cache_bytes", "bytes_per_module",
                     "arena_serialized_bytes"):

@@ -82,45 +82,60 @@ struct KeyHash {
 // Byte accounting
 //===----------------------------------------------------------------------===//
 
-uint64_t instBytes(const wasm::WInst &I) {
-  uint64_t B = sizeof(wasm::WInst) + I.Table.size() * sizeof(uint32_t) +
-               (I.BT.Params.size() + I.BT.Results.size());
-  for (const wasm::WInst &C : I.Body)
-    B += instBytes(C);
-  for (const wasm::WInst &C : I.Else)
-    B += instBytes(C);
-  return B;
+// An artifact is charged the heap it holds: the capacity of every vector
+// and heap string, plus an estimate for each std::map node (header,
+// key/value pair, allocator rounding). O(functions): the code itself is a
+// handful of flat vectors per function.
+
+template <typename T> uint64_t capBytes(const std::vector<T> &V) {
+  return V.capacity() * sizeof(T);
 }
+
+uint64_t strBytes(const std::string &S) {
+  // Short strings live inside the std::string object itself.
+  return S.capacity() > 15 ? S.capacity() + 1 : 0;
+}
+
+uint64_t typeBytes(const wasm::FuncType &T) {
+  return capBytes(T.Params) + capBytes(T.Results);
+}
+
+/// An rb-tree node of a small key/value pair as the allocator hands it out.
+constexpr uint64_t MapNodeBytes = 64;
 
 uint64_t artifactBytes(const LoweredArtifact &A) {
   uint64_t B = sizeof(LoweredArtifact);
   const wasm::WModule &M = A.Program.Module;
+  B += capBytes(M.Types);
   for (const wasm::FuncType &T : M.Types)
-    B += sizeof(wasm::FuncType) + T.Params.size() + T.Results.size();
-  for (const wasm::WFunc &F : M.Funcs) {
-    B += sizeof(wasm::WFunc) + F.Locals.size();
-    for (const wasm::WInst &I : F.Body)
-      B += instBytes(I);
-  }
-  for (const wasm::WGlobal &G : M.Globals) {
-    B += sizeof(wasm::WGlobal);
-    for (const wasm::WInst &I : G.Init)
-      B += instBytes(I);
-  }
-  B += M.TableElems.size() * sizeof(uint32_t);
-  for (const wasm::WExport &E : M.Exports)
-    B += sizeof(wasm::WExport) + E.Name.size();
+    B += typeBytes(T);
+  B += capBytes(M.ImportFuncs);
   for (const wasm::WImportFunc &F : M.ImportFuncs)
-    B += sizeof(wasm::WImportFunc) + F.Mod.size() + F.Name.size();
+    B += strBytes(F.Mod) + strBytes(F.Name);
+  B += capBytes(M.Funcs);
+  for (const wasm::WFunc &F : M.Funcs) {
+    B += capBytes(F.Locals) + capBytes(F.Body) + capBytes(F.BlockTypes) +
+         capBytes(F.BrTargets);
+    for (const wasm::FuncType &T : F.BlockTypes)
+      B += typeBytes(T);
+  }
+  B += capBytes(M.TableElems) + capBytes(M.Globals);
+  for (const wasm::WGlobal &G : M.Globals)
+    B += capBytes(G.Init);
+  B += capBytes(M.Exports);
+  for (const wasm::WExport &E : M.Exports)
+    B += strBytes(E.Name);
+  B += capBytes(M.Data);
   for (const wasm::WData &D : M.Data)
-    B += sizeof(wasm::WData) + D.Bytes.size();
+    B += capBytes(D.Bytes);
   for (const auto &[Name, Idx] : A.Program.Exports)
-    B += Name.size() + 64;
-  B += (A.Program.FuncMap.size() + A.Program.TableBase.size()) * 64;
-  B += A.Program.RefGlobals.size() * sizeof(uint32_t);
+    B += MapNodeBytes + sizeof(std::string) + strBytes(Name);
+  B += (A.Program.FuncMap.size() + A.Program.TableBase.size()) * MapNodeBytes;
+  B += capBytes(A.Program.RefGlobals);
+  B += capBytes(A.Flat.Funcs);
   for (const exec::FlatFunc &F : A.Flat.Funcs)
-    B += sizeof(exec::FlatFunc) + F.Code.size() * sizeof(uint32_t);
-  B += A.Flat.CanonType.size() * sizeof(uint32_t);
+    B += capBytes(F.Code);
+  B += capBytes(A.Flat.CanonType);
   return B;
 }
 

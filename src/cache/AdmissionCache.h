@@ -86,7 +86,8 @@ struct VerifiedModule {
 };
 
 /// Hit/miss/eviction counters and the current resident size. Bytes are
-/// estimates (sizeof-based for artifacts), consistent with what eviction
+/// the heap an entry holds (vector capacities, heap strings, estimated map
+/// nodes — DESIGN.md §8), consistent with what eviction
 /// accounts against the budget.
 struct CacheStats {
   uint64_t CheckHits = 0;

@@ -60,33 +60,61 @@ Arity simpleArity(Op K) {
   return {0, 0}; // unreachable/nop handled by the caller
 }
 
-/// Translates one function body. Tracks the virtual operand height the
-/// validator proved consistent, so every branch can be annotated with an
-/// absolute target plus its stack fix-up.
+/// Translates function bodies, one at a time. Tracks the virtual operand
+/// height the validator proved consistent, so every branch can be
+/// annotated with an absolute target plus its stack fix-up. One
+/// translator serves a whole module: its code and control buffers are
+/// reused, and each body is copied out at its exact size.
 class FuncTranslator {
 public:
-  /// \p ProfileIdx: function-space index to bump from the emitted
-  /// FProfEnter/FProfLoop ops, or UINT32_MAX for no profiling.
-  FuncTranslator(const WModule &M, const FlatModule &FM, FlatFunc &Out,
-                 uint32_t ProfileIdx = UINT32_MAX)
-      : M(M), FM(FM), Out(Out), Code(Out.Code), ProfileIdx(ProfileIdx) {}
+  FuncTranslator(const WModule &M, const FlatModule &FM) : M(M), FM(FM) {}
 
-  Status run(const WFunc &F) {
+  /// One linear pass over the flat body of \p F into \p Dest. Structured
+  /// ops push and pop CtrlFrames; code after an instruction that ends
+  /// reachability is skipped (nested frames included) up to the frame's
+  /// Else/End. \p Profile: function-space index to bump from the emitted
+  /// FProfEnter/FProfLoop ops, or UINT32_MAX for no profiling.
+  Status run(const WFunc &F, FlatFunc &Dest, uint32_t Profile) {
+    Out = &Dest;
+    ProfileIdx = Profile;
+    Code.clear();
+    Ctrl.clear();
+    Height = MaxHeight = 0;
+    Dead = false;
+    fence();
     const FuncType &FT = M.Types[F.TypeIdx];
     // The implicit function-body label: a block whose results are the
     // function results and whose branches land on the final FReturn.
     Ctrl.push_back({CtrlKind::Block, 0, 0,
-                    static_cast<uint32_t>(FT.Results.size()), 0, {}, false});
+                    static_cast<uint32_t>(FT.Results.size())});
     if (ProfileIdx != UINT32_MAX) {
       emit(FProfEnter);
       emit(ProfileIdx);
     }
-    if (Status S = seq(F.Body); !S)
-      return S;
+    uint32_t Skip = 0; // Frames opened inside a skipped tail.
+    for (const WInst &I : F.Body) {
+      if (Dead) {
+        if (opensFrame(I.K)) {
+          ++Skip;
+          continue;
+        }
+        if (Skip) {
+          Skip -= I.K == Op::End;
+          continue;
+        }
+        if (I.K != Op::Else && I.K != Op::End)
+          continue;
+      }
+      if (Status S = inst(F, I); !S)
+        return S;
+    }
+    if (Ctrl.size() != 1 || Skip)
+      return Error("flat translation: unterminated block");
     patchTo(Ctrl.back(), static_cast<uint32_t>(Code.size()));
     Ctrl.pop_back();
     emit(FReturn);
-    Out.MaxDepth = MaxHeight;
+    Out->MaxDepth = MaxHeight;
+    Out->Code.assign(Code.begin(), Code.end());
     return Status::success();
   }
 
@@ -99,14 +127,22 @@ private:
     uint32_t Params;  ///< Label params (branch arity for loops).
     uint32_t Results; ///< Label results (branch arity for blocks/ifs).
     uint32_t LoopTarget = 0; ///< Loops: absolute pc of the body start.
-    std::vector<uint32_t> Patches; ///< Target words to patch at `end`.
+    /// Forward target words to patch at `end`, chained through the words
+    /// themselves (each holds the previous one's position) so a frame
+    /// needs no list of its own.
+    uint32_t PatchHead = NoPatch;
     bool HadBr = false; ///< A branch targeted this label.
+    uint32_t ElsePatch = 0; ///< Ifs: the FGotoIfZ target word.
+    bool SawElse = false;   ///< Ifs: the else arm has begun.
+    bool ThenDead = false;  ///< Ifs: the then arm does not fall through.
   };
+
+  static constexpr uint32_t NoPatch = UINT32_MAX;
 
   const WModule &M;
   const FlatModule &FM;
-  FlatFunc &Out;
-  std::vector<uint32_t> &Code;
+  FlatFunc *Out = nullptr;
+  std::vector<uint32_t> Code;
   std::vector<CtrlFrame> Ctrl;
   uint32_t Height = 0, MaxHeight = 0;
   uint32_t ProfileIdx = UINT32_MAX;
@@ -146,10 +182,24 @@ private:
     return Status::success();
   }
 
+  /// Emits a forward target word for \p F, patched at its `end`.
+  void emitPatch(CtrlFrame &F) {
+    uint32_t Pos = static_cast<uint32_t>(Code.size());
+    emit(F.PatchHead);
+    F.PatchHead = Pos;
+  }
+  void addPatch(CtrlFrame &F, uint32_t Pos) {
+    Code[Pos] = F.PatchHead;
+    F.PatchHead = Pos;
+  }
+
   void patchTo(CtrlFrame &F, uint32_t Target) {
-    for (uint32_t Pos : F.Patches)
+    for (uint32_t Pos = F.PatchHead; Pos != NoPatch;) {
+      uint32_t Next = Code[Pos];
       Code[Pos] = Target;
-    F.Patches.clear();
+      Pos = Next;
+    }
+    F.PatchHead = NoPatch;
   }
 
   /// Label arity: what a branch to this frame keeps on the stack.
@@ -164,8 +214,7 @@ private:
     if (F.K == CtrlKind::Loop) {
       emit(F.LoopTarget);
     } else {
-      F.Patches.push_back(static_cast<uint32_t>(Code.size()));
-      emit(0);
+      emitPatch(F);
     }
   }
 
@@ -207,20 +256,46 @@ private:
     return Status::success();
   }
 
-  Status seq(const std::vector<WInst> &Body) {
-    for (const WInst &I : Body) {
-      if (Dead)
-        return Status::success(); // Skip the unreachable tail.
-      if (Status S = inst(I); !S)
-        return S;
-    }
-    return Status::success();
-  }
-
-  Status inst(const WInst &I);
+  Status inst(const WFunc &F, const WInst &I);
+  Status endFrame();
 };
 
-Status FuncTranslator::inst(const WInst &I) {
+/// Closes the innermost frame at its End: binds its label, and works out
+/// reachability and the operand height after it.
+Status FuncTranslator::endFrame() {
+  if (Ctrl.size() == 1)
+    return Error("flat translation: end without a matching block");
+  CtrlFrame F = std::move(Ctrl.back());
+  Ctrl.pop_back();
+  switch (F.K) {
+  case CtrlKind::Block:
+    patchTo(F, static_cast<uint32_t>(Code.size()));
+    fence();
+    Dead = Dead && !F.HadBr;
+    break;
+  case CtrlKind::Loop:
+    fence();
+    // Back-branches never fall out downward, so reachability after the
+    // loop is exactly the body's fall-through reachability.
+    break;
+  case CtrlKind::If: {
+    bool ThenDead = F.SawElse ? F.ThenDead : Dead;
+    bool ElseDead = F.SawElse && Dead;
+    if (!F.SawElse) // No else: the false path falls through to the end.
+      addPatch(F, F.ElsePatch);
+    patchTo(F, static_cast<uint32_t>(Code.size()));
+    fence();
+    Dead = ThenDead && ElseDead && !F.HadBr;
+    break;
+  }
+  }
+  Height = F.Base + F.Results;
+  if (Height > MaxHeight)
+    MaxHeight = Height;
+  return Status::success();
+}
+
+Status FuncTranslator::inst(const WFunc &Fn, const WInst &I) {
   switch (I.K) {
   case Op::Nop:
     return Status::success(); // Erased: costs nothing at run time.
@@ -230,104 +305,62 @@ Status FuncTranslator::inst(const WInst &I) {
     Dead = true;
     return Status::success();
 
-  case Op::Block: {
-    fence();
-    uint32_t P = static_cast<uint32_t>(I.BT.Params.size());
-    uint32_t R = static_cast<uint32_t>(I.BT.Results.size());
-    if (Status S = pop(P); !S)
-      return S;
-    Ctrl.push_back({CtrlKind::Block, Height, P, R, 0, {}, false});
-    push(P);
-    if (Status S = seq(I.Body); !S)
-      return S;
-    CtrlFrame F = std::move(Ctrl.back());
-    Ctrl.pop_back();
-    patchTo(F, static_cast<uint32_t>(Code.size()));
-    fence();
-    Dead = Dead && !F.HadBr;
-    Height = F.Base + R;
-    if (Height > MaxHeight)
-      MaxHeight = Height;
-    return Status::success();
-  }
-  case Op::Loop: {
-    fence();
-    uint32_t P = static_cast<uint32_t>(I.BT.Params.size());
-    uint32_t R = static_cast<uint32_t>(I.BT.Results.size());
-    if (Status S = pop(P); !S)
-      return S;
-    Ctrl.push_back({CtrlKind::Loop, Height, P, R,
-                    static_cast<uint32_t>(Code.size()), {}, false});
-    // The loop target recorded above points AT this bump, so it runs on
-    // fall-in entry and on every back-branch — exactly the tree engine's
-    // loop-header count.
-    if (ProfileIdx != UINT32_MAX) {
-      emit(FProfLoop);
-      emit(ProfileIdx);
-    }
-    push(P);
-    if (Status S = seq(I.Body); !S)
-      return S;
-    CtrlFrame F = std::move(Ctrl.back());
-    Ctrl.pop_back();
-    fence();
-    // Back-branches never fall out downward, so reachability after the
-    // loop is exactly the body's fall-through reachability.
-    Height = F.Base + R;
-    if (Height > MaxHeight)
-      MaxHeight = Height;
-    return Status::success();
-  }
+  case Op::Block:
+  case Op::Loop:
   case Op::If: {
     fence();
-    if (Status S = pop(1); !S) // condition
-      return S;
-    uint32_t P = static_cast<uint32_t>(I.BT.Params.size());
-    uint32_t R = static_cast<uint32_t>(I.BT.Results.size());
+    if (I.U32 >= Fn.BlockTypes.size())
+      return Error("flat translation: block type out of range");
+    if (I.K == Op::If)
+      if (Status S = pop(1); !S) // condition
+        return S;
+    const FuncType &BT = Fn.blockType(I);
+    uint32_t P = static_cast<uint32_t>(BT.Params.size());
+    uint32_t R = static_cast<uint32_t>(BT.Results.size());
     if (Status S = pop(P); !S)
       return S;
-    uint32_t Base = Height;
-    emit(FGotoIfZ);
-    uint32_t ElsePatch = static_cast<uint32_t>(Code.size());
-    emit(0);
-    Ctrl.push_back({CtrlKind::If, Base, P, R, 0, {}, false});
-    push(P);
-    if (Status S = seq(I.Body); !S)
-      return S;
-    bool ThenDead = Dead;
-    Dead = false;
-    CtrlFrame &F = Ctrl.back();
-    bool ElseDead = true;
-    if (!I.Else.empty()) {
-      if (!ThenDead) {
-        // Skip the else arm when the then arm falls through.
-        emit(FGoto);
-        F.Patches.push_back(static_cast<uint32_t>(Code.size()));
-        emit(0);
+    if (I.K == Op::Block) {
+      Ctrl.push_back({CtrlKind::Block, Height, P, R});
+    } else if (I.K == Op::Loop) {
+      Ctrl.push_back({CtrlKind::Loop, Height, P, R,
+                      static_cast<uint32_t>(Code.size())});
+      // The loop target recorded above points AT this bump, so it runs on
+      // fall-in entry and on every back-branch — exactly the tree
+      // engine's loop-header count.
+      if (ProfileIdx != UINT32_MAX) {
+        emit(FProfLoop);
+        emit(ProfileIdx);
       }
-      Code[ElsePatch] = static_cast<uint32_t>(Code.size());
-      fence();
-      Height = Base;
-      push(P);
-      if (Status S = seq(I.Else); !S)
-        return S;
-      ElseDead = Dead;
-      Dead = false;
     } else {
-      // No else: the false path falls through to the end label.
-      F.Patches.push_back(ElsePatch);
-      ElseDead = false;
+      emit(FGotoIfZ);
+      uint32_t ElsePatch = static_cast<uint32_t>(Code.size());
+      emit(0);
+      Ctrl.push_back(
+          {CtrlKind::If, Height, P, R, 0, NoPatch, false, ElsePatch});
     }
-    CtrlFrame Done = std::move(Ctrl.back());
-    Ctrl.pop_back();
-    patchTo(Done, static_cast<uint32_t>(Code.size()));
-    fence();
-    Dead = ThenDead && ElseDead && !Done.HadBr;
-    Height = Base + R;
-    if (Height > MaxHeight)
-      MaxHeight = Height;
+    push(P);
     return Status::success();
   }
+  case Op::Else: {
+    CtrlFrame &F = Ctrl.back();
+    if (F.K != CtrlKind::If || F.SawElse)
+      return Error("flat translation: else without a matching if");
+    F.SawElse = true;
+    F.ThenDead = Dead;
+    Dead = false;
+    if (!F.ThenDead) {
+      // Skip the else arm when the then arm falls through.
+      emit(FGoto);
+      emitPatch(F);
+    }
+    Code[F.ElsePatch] = static_cast<uint32_t>(Code.size());
+    fence();
+    Height = F.Base;
+    push(F.Params);
+    return Status::success();
+  }
+  case Op::End:
+    return endFrame();
 
   case Op::Br:
     if (Status S = emitBranch(I.U32, /*Conditional=*/false); !S)
@@ -342,9 +375,12 @@ Status FuncTranslator::inst(const WInst &I) {
     fence();
     if (Status S = pop(1); !S)
       return S;
+    if (static_cast<uint32_t>(I.U64) + (I.U64 >> 32) > Fn.BrTargets.size())
+      return Error("flat translation: br_table targets out of range");
+    std::span<const uint32_t> Targets = Fn.brTargets(I);
     emit(FBrTable);
-    emit(static_cast<uint32_t>(I.Table.size()));
-    for (uint32_t Depth : I.Table)
+    emit(static_cast<uint32_t>(Targets.size()));
+    for (uint32_t Depth : Targets)
       if (Status S = emitTableEntry(Depth); !S)
         return S;
     if (Status S = emitTableEntry(I.U32); !S) // default, last
@@ -402,7 +438,7 @@ Status FuncTranslator::inst(const WInst &I) {
     return Status::success();
 
   case Op::LocalGet: {
-    if (I.U32 >= Out.NumRegs)
+    if (I.U32 >= Out->NumRegs)
       return Error("flat translation: local/global index out of range");
     push(1);
     if (Last == Prev::Get) {
@@ -419,7 +455,7 @@ Status FuncTranslator::inst(const WInst &I) {
     return Status::success();
   }
   case Op::LocalSet: {
-    if (I.U32 >= Out.NumRegs)
+    if (I.U32 >= Out->NumRegs)
       return Error("flat translation: local/global index out of range");
     if (Status S = pop(1); !S)
       return S;
@@ -447,7 +483,7 @@ Status FuncTranslator::inst(const WInst &I) {
   case Op::GlobalSet: {
     uint32_t Limit = (I.K == Op::GlobalGet || I.K == Op::GlobalSet)
                          ? static_cast<uint32_t>(M.Globals.size())
-                         : Out.NumRegs;
+                         : Out->NumRegs;
     if (I.U32 >= Limit)
       return Error("flat translation: local/global index out of range");
     if (I.K == Op::GlobalGet)
@@ -502,21 +538,21 @@ Status FuncTranslator::inst(const WInst &I) {
       setLast(Prev::GetConstAdd, PrevPos);
     } else if (I.K == Op::I32Load && Last == Prev::Get) {
       Code[PrevPos] = FGetLoadI32; // a off
-      emit(I.Offset);
+      emit(I.offset());
       fence();
     } else if (I.K == Op::I32Store && Last == Prev::GetGet) {
       Code[PrevPos] = FGetGetStoreI32; // a b off
-      emit(I.Offset);
+      emit(I.offset());
       fence();
     } else if (I.K == Op::I32Store && Last == Prev::GetConst) {
       Code[PrevPos] = FGetConstStoreI32; // a k off
-      emit(I.Offset);
+      emit(I.offset());
       fence();
     } else {
       emit(static_cast<uint32_t>(I.K));
       uint8_t C = static_cast<uint8_t>(I.K);
       if (C >= 0x28 && C <= 0x3e) // memarg: static offset immediate
-        emit(I.Offset);
+        emit(I.offset());
       fence();
     }
     push(A.Out);
@@ -548,6 +584,7 @@ Expected<FlatModule> rw::exec::translate(const WModule &M,
     FM.CanonType.push_back(canonTypeId(M, F.TypeIdx));
 
   FM.Funcs.reserve(M.Funcs.size());
+  FuncTranslator T(M, FM);
   for (uint32_t FI = 0; FI < M.Funcs.size(); ++FI) {
     const WFunc &F = M.Funcs[FI];
     if (F.TypeIdx >= M.Types.size())
@@ -556,12 +593,11 @@ Expected<FlatModule> rw::exec::translate(const WModule &M,
     FlatFunc Out;
     Out.TypeIdx = F.TypeIdx;
     Out.NumParams = static_cast<uint32_t>(FT.Params.size());
-    Out.NumRegs =
-        Out.NumParams + static_cast<uint32_t>(F.Locals.size());
+    Out.NumRegs = Out.NumParams + static_cast<uint32_t>(F.Locals.size());
     Out.NumResults = static_cast<uint32_t>(FT.Results.size());
-    FuncTranslator T(M, FM, Out,
-                     Opts.Profile ? FM.NumImports + FI : UINT32_MAX);
-    if (Status S = T.run(F); !S)
+    if (Status S = T.run(F, Out, Opts.Profile ? FM.NumImports + FI
+                                              : UINT32_MAX);
+        !S)
       return S.error().addContext("function " + std::to_string(FI));
     FM.Funcs.push_back(std::move(Out));
   }

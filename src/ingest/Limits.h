@@ -32,7 +32,7 @@ namespace rw::ingest {
 /// Resource caps applied to one admission. The defaults are generous for
 /// real modules (every bench/example workload fits with 100x headroom)
 /// while bounding hostile amplification: no single admission can make the
-/// decoder allocate more than MaxTotalAlloc bytes or recurse deeper than
+/// decoder allocate more than MaxTotalAlloc bytes or nest deeper than
 /// MaxNestingDepth frames, whatever the input bytes claim.
 struct Limits {
   /// Whole-module byte-size cap, checked before decoding starts.
@@ -49,8 +49,8 @@ struct Limits {
   uint64_t MaxBodyBytes = 8ull << 20;
   /// Per-function local count after RLE expansion.
   uint32_t MaxLocals = 1u << 16;
-  /// Structured-control nesting depth (blocks/loops/ifs); bounds decoder
-  /// and validator recursion.
+  /// Structured-control nesting depth (blocks/loops/ifs): the decoder's
+  /// control-stack depth cap.
   uint32_t MaxNestingDepth = 256;
   /// Validator operand-stack depth cap per function.
   uint32_t MaxOperandDepth = 1u << 16;

@@ -16,7 +16,6 @@
 #include "support/ThreadPool.h"
 
 #include <cassert>
-#include <functional>
 
 using namespace rw;
 using namespace rw::lower;
@@ -274,21 +273,45 @@ bool containsAbstractP(const Pretype *P) {
 }
 bool containsAbstract(TypeRef T) { return containsAbstractP(T.P); }
 
+/// The calling thread's lowering buffer: every body is lowered into it and
+/// then copied out at exact size, so its capacity is reused from body to
+/// body instead of each body regrowing (and over-allocating) its own.
+wasm::WFunc &codeBuffer() {
+  static thread_local wasm::WFunc Buf;
+  return Buf;
+}
+
+/// Moves the code lowered into \p Buf into a new function of exact size.
+wasm::WFunc takeCode(wasm::WFunc &Buf) {
+  wasm::WFunc F;
+  F.Body.assign(Buf.Body.begin(), Buf.Body.end());
+  F.BrTargets.assign(Buf.BrTargets.begin(), Buf.BrTargets.end());
+  F.BlockTypes = std::move(Buf.BlockTypes);
+  Buf.BlockTypes.clear();
+  return F;
+}
+
 /// Lowers one instruction sequence (a function body or a global
 /// initializer) into Wasm instructions, managing locals and scratches.
+/// Code is appended, in binary order, to \p Out — a per-thread buffer the
+/// caller copies out at exact size (takeCode) — so lowering a body builds
+/// no vector per block.
 class FuncLowering {
 public:
+  /// \p NumParams: the Wasm parameter count (natural components).
   FuncLowering(ProgramLowering &P, uint32_t ModIdx, TypeVarSizes Bounds,
-               std::vector<ValType> ParamComps)
+               uint32_t NumParams, wasm::WFunc &Out)
       : P(P), ModIdx(ModIdx), Bounds(std::move(Bounds)),
-        NumParams(static_cast<uint32_t>(ParamComps.size())),
-        ParamTypes(std::move(ParamComps)) {}
+        NumParams(NumParams), Out(Out) {
+    Out.Body.clear();
+    Out.BlockTypes.clear();
+    Out.BrTargets.clear();
+  }
 
   ProgramLowering &P;
   uint32_t ModIdx;
   TypeVarSizes Bounds;
   uint32_t NumParams;
-  std::vector<ValType> ParamTypes;
   std::vector<ValType> ExtraLocals; ///< Beyond the Wasm params.
   std::vector<uint32_t> RwLocalBase, RwLocalWords;
   /// Scratch-local indices, one stack of every-so-far-released local per
@@ -298,9 +321,10 @@ public:
   support::SmallVec<uint32_t, 8> FreePool[4];
   uint32_t Depth = 0;
   std::vector<uint32_t> RichLabels; ///< D_L per label, innermost at back.
-  /// Set when this body emitted a call_indirect: only such bodies need the
-  /// post-assembly type-index patch walk.
-  bool HasCallIndirect = false;
+  wasm::WFunc &Out;
+  /// Signatures of the body's call_indirects, which carry an index into
+  /// this list until assembly interns them in the module's type table.
+  std::vector<wasm::FuncType> IndirectSigs;
 
   /// Reused stash scratch (see stash()): indices of spilled components.
   using Scratch = support::SmallVec<uint32_t, 8>;
@@ -661,8 +685,14 @@ public:
   // Instruction lowering
   //===--------------------------------------------------------------------===//
 
-  Expected<std::vector<WInst>> lowerSeq(const InstVec &Insts);
+  Status lowerSeq(const InstVec &Insts);
   Status lowerInst(const Inst &I, std::vector<WInst> &O, bool &Terminated);
+  /// Appends a call_indirect of signature [Params] -> [Results].
+  void callIndirect(std::vector<ValType> Params, std::vector<ValType> Results) {
+    IndirectSigs.push_back({std::move(Params), std::move(Results)});
+    Out.Body.push_back(WInst::idx(
+        Op::CallIndirect, static_cast<uint32_t>(IndirectSigs.size() - 1)));
+  }
 
   const typing::InstInfo *info(const Inst *I) { return P.info(ModIdx, I); }
 };
@@ -671,17 +701,15 @@ public:
 // FuncLowering implementation
 //===----------------------------------------------------------------------===//
 
-Expected<std::vector<WInst>> FuncLowering::lowerSeq(const InstVec &Insts) {
-  std::vector<WInst> O;
-  O.reserve(Insts.size() * 2);
+Status FuncLowering::lowerSeq(const InstVec &Insts) {
   bool Terminated = false;
   for (const InstRef &I : Insts) {
     if (Terminated)
       break; // Dead code carries no checker annotations; skip it.
-    if (Status S = lowerInst(*I, O, Terminated); !S)
-      return S.error();
+    if (Status S = lowerInst(*I, Out.Body, Terminated); !S)
+      return S;
   }
-  return O;
+  return Status::success();
 }
 
 Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
@@ -792,11 +820,12 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
     O.push_back(WInst::idx(Op::LocalSet, Cond));
     FuncLowering::Scratch V2 = stash(*R, O);
     FuncLowering::Scratch V1 = stash(*R, O);
-    std::vector<WInst> Then, Else;
-    unstash(*R, V1, Then, /*Release=*/false);
-    unstash(*R, V2, Else, /*Release=*/false);
     O.push_back(WInst::idx(Op::LocalGet, Cond));
-    O.push_back(WInst::ifElse({{}, *R}, std::move(Then), std::move(Else)));
+    Out.open(Op::If, {}, *R);
+    unstash(*R, V1, O, /*Release=*/false);
+    O.push_back(WInst::mk(Op::Else));
+    unstash(*R, V2, O, /*Release=*/false);
+    Out.close();
     releaseAll(*R, V1);
     releaseAll(*R, V2);
     release(ValType::I32, Cond);
@@ -816,18 +845,14 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
     Expected<std::vector<ValType>> RR = repOfTypes(TF.Results, Bounds);
     if (!PR || !RR)
       return Error("bad block type in lowering");
+    Out.open(I.kind() == InstKind::Block ? Op::Block : Op::Loop, *PR, *RR);
     ++Depth;
     RichLabels.push_back(Depth);
-    Expected<std::vector<WInst>> B = lowerSeq(Body);
+    if (Status S = lowerSeq(Body); !S)
+      return S;
     RichLabels.pop_back();
     --Depth;
-    if (!B)
-      return B.error();
-    wasm::FuncType BT{*PR, *RR};
-    if (I.kind() == InstKind::Block)
-      O.push_back(WInst::block(std::move(BT), std::move(*B)));
-    else
-      O.push_back(WInst::loop(std::move(BT), std::move(*B)));
+    Out.close();
     return Status::success();
   }
   case InstKind::If: {
@@ -836,18 +861,17 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
     Expected<std::vector<ValType>> RR = repOfTypes(F->arrow().Results, Bounds);
     if (!PR || !RR)
       return Error("bad if type in lowering");
+    Out.open(Op::If, *PR, *RR);
     ++Depth;
     RichLabels.push_back(Depth);
-    Expected<std::vector<WInst>> T = lowerSeq(F->thenBody());
-    Expected<std::vector<WInst>> E = lowerSeq(F->elseBody());
+    if (Status S = lowerSeq(F->thenBody()); !S)
+      return S;
+    O.push_back(WInst::mk(Op::Else));
+    if (Status S = lowerSeq(F->elseBody()); !S)
+      return S;
     RichLabels.pop_back();
     --Depth;
-    if (!T)
-      return T.error();
-    if (!E)
-      return E.error();
-    O.push_back(
-        WInst::ifElse({*PR, *RR}, std::move(*T), std::move(*E)));
+    Out.close(); // Drops the Else again when the else arm is empty.
     return Status::success();
   }
   case InstKind::Br:
@@ -874,7 +898,7 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
     if (B->defaultDepth() >= RichLabels.size())
       return Error("br_table default out of range in lowering");
     uint32_t Dd = Depth - RichLabels[RichLabels.size() - 1 - B->defaultDepth()];
-    O.push_back(WInst::brTable(std::move(Ds), Dd));
+    Out.brTable(Ds, Dd);
     Terminated = true;
     return Status::success();
   }
@@ -1041,7 +1065,6 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
     for (const Type &T : Arrow.Results)
       Abstract |= containsAbstract(T);
 
-    HasCallIndirect = true;
     if (!Abstract) {
       // Concrete signature: the table entry was compiled with exactly this
       // shape, so a plain call_indirect suffices.
@@ -1049,10 +1072,7 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
       Expected<std::vector<ValType>> RR = repOfTypes(Arrow.Results, Bounds);
       if (!PR || !RR)
         return Error("bad indirect call signature");
-      WInst CI(Op::CallIndirect);
-      CI.U32 = 0; // Patched later (needs module-level type interning).
-      CI.BT = {*PR, *RR};
-      O.push_back(CI);
+      callIndirect(PR.take(), RR.take());
       return Status::success();
     }
 
@@ -1121,58 +1141,55 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
 
     size_t NG = GroupSigs.size();
     // Cases 0..NG-1 are the shape groups; case NG traps (bad index or
-    // incompatible entry).
-    std::vector<WInst> Cur;
-    Cur.push_back(WInst::idx(Op::LocalGet, IdxL));
+    // incompatible entry). A result block holds one block per case, nested
+    // so that the br_table inside the innermost one exits to case G's code
+    // by branching G levels out; each case then branches to the result.
+    Out.open(Op::Block, {}, *ARFlat);
+    for (size_t G = 0; G <= NG; ++G)
+      Out.open(Op::Block);
+    O.push_back(WInst::idx(Op::LocalGet, IdxL));
     {
       std::vector<uint32_t> Ts;
       for (size_t K = 0; K < Shapes.size(); ++K)
         Ts.push_back(SlotToGroup[K] == ~0u ? static_cast<uint32_t>(NG)
                                            : SlotToGroup[K]);
-      Cur.push_back(WInst::brTable(std::move(Ts),
-                                   static_cast<uint32_t>(NG)));
+      Out.brTable(Ts, static_cast<uint32_t>(NG));
     }
     for (size_t G = 0; G <= NG; ++G) {
-      std::vector<WInst> Next;
-      Next.push_back(WInst::block({{}, {}}, std::move(Cur)));
+      Out.close();
       if (G == NG) {
-        Next.push_back(WInst::mk(Op::Unreachable));
-      } else {
-        const auto &Sh = *GroupShape[G];
-        for (size_t J = 0; J < APar.size(); ++J) {
-          unstash(APar[J], ALs[J], Next, /*Release=*/false);
-          if (APar[J] != Sh.ParamReps[J]) {
-            // Abstract words → the entry's concrete shape.
-            std::vector<ValType> Words(APar[J].size(), ValType::I32);
-            FuncLowering::Scratch WLs = stash(Words, Next);
-            uint32_t Need = wordsOf(Sh.ParamReps[J]);
-            for (uint32_t K2 = 0; K2 < Need; ++K2)
-              Next.push_back(WInst::idx(Op::LocalGet, WLs[K2]));
-            releaseAll(Words, WLs);
-            wordsToComps(Sh.ParamReps[J], Need, Next);
-          }
-        }
-        Next.push_back(WInst::idx(Op::LocalGet, IdxL));
-        WInst CI(Op::CallIndirect);
-        CI.U32 = 0; // Patched later.
-        CI.BT = Sh.Sig;
-        Next.push_back(CI);
-        // Coerce results back to the abstract representation.
-        std::vector<FuncLowering::Scratch> RLs(ARes.size());
-        for (size_t J = ARes.size(); J > 0; --J)
-          RLs[J - 1] = stash(Sh.ResultReps[J - 1], Next);
-        for (size_t J = 0; J < ARes.size(); ++J) {
-          unstash(Sh.ResultReps[J], RLs[J], Next);
-          if (ARes[J] != Sh.ResultReps[J])
-            compsToWords(Sh.ResultReps[J],
-                         static_cast<uint32_t>(ARes[J].size()), Next);
-        }
-        Next.push_back(
-            WInst::idx(Op::Br, static_cast<uint32_t>(NG - G)));
+        O.push_back(WInst::mk(Op::Unreachable));
+        break;
       }
-      Cur = std::move(Next);
+      const auto &Sh = *GroupShape[G];
+      for (size_t J = 0; J < APar.size(); ++J) {
+        unstash(APar[J], ALs[J], O, /*Release=*/false);
+        if (APar[J] != Sh.ParamReps[J]) {
+          // Abstract words → the entry's concrete shape.
+          std::vector<ValType> Words(APar[J].size(), ValType::I32);
+          FuncLowering::Scratch WLs = stash(Words, O);
+          uint32_t Need = wordsOf(Sh.ParamReps[J]);
+          for (uint32_t K2 = 0; K2 < Need; ++K2)
+            O.push_back(WInst::idx(Op::LocalGet, WLs[K2]));
+          releaseAll(Words, WLs);
+          wordsToComps(Sh.ParamReps[J], Need, O);
+        }
+      }
+      O.push_back(WInst::idx(Op::LocalGet, IdxL));
+      callIndirect(Sh.Sig.Params, Sh.Sig.Results);
+      // Coerce results back to the abstract representation.
+      std::vector<FuncLowering::Scratch> RLs(ARes.size());
+      for (size_t J = ARes.size(); J > 0; --J)
+        RLs[J - 1] = stash(Sh.ResultReps[J - 1], O);
+      for (size_t J = 0; J < ARes.size(); ++J) {
+        unstash(Sh.ResultReps[J], RLs[J], O);
+        if (ARes[J] != Sh.ResultReps[J])
+          compsToWords(Sh.ResultReps[J],
+                       static_cast<uint32_t>(ARes[J].size()), O);
+      }
+      O.push_back(WInst::idx(Op::Br, static_cast<uint32_t>(NG - G)));
     }
-    O.push_back(WInst::block({{}, *ARFlat}, std::move(Cur)));
+    Out.close();
     for (size_t J = 0; J < APar.size(); ++J)
       releaseAll(APar[J], ALs[J]);
     release(ValType::I32, IdxL);
@@ -1198,14 +1215,14 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
       return Error("bad mem.unpack types");
     std::vector<ValType> In = *PR;
     In.insert(In.end(), VR->begin(), VR->end());
+    Out.open(Op::Block, In, *RR);
     ++Depth;
     RichLabels.push_back(Depth);
-    Expected<std::vector<WInst>> B = lowerSeq(MU->body());
+    if (Status S = lowerSeq(MU->body()); !S)
+      return S;
     RichLabels.pop_back();
     --Depth;
-    if (!B)
-      return B.error();
-    O.push_back(WInst::block({std::move(In), *RR}, std::move(*B)));
+    Out.close();
     return Status::success();
   }
 
@@ -1399,46 +1416,43 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
     O.push_back(WInst::idx(Op::LocalSet, Base));
 
     uint32_t DOut = Depth + 1; // Wasm depth just inside the result block.
-    // Innermost: the dispatch br_table.
-    std::vector<WInst> Cur;
-    Cur.push_back(WInst::idx(Op::LocalGet, Base));
-    Cur.push_back(WInst::mem(Op::I32Load, 2, 0));
+    // A result block around one block per arm; the dispatch br_table in
+    // the innermost exits to arm A's code by branching A levels out.
+    Out.open(Op::Block, {}, *RR);
+    for (size_t A = 0; A < N; ++A)
+      Out.open(Op::Block);
+    O.push_back(WInst::idx(Op::LocalGet, Base));
+    O.push_back(WInst::mem(Op::I32Load, 2, 0));
     {
       std::vector<uint32_t> Ts;
       for (size_t A = 0; A < N; ++A)
         Ts.push_back(static_cast<uint32_t>(A));
-      Cur.push_back(WInst::brTable(std::move(Ts),
-                                   static_cast<uint32_t>(N - 1)));
+      Out.brTable(Ts, static_cast<uint32_t>(N - 1));
     }
     for (size_t A = 0; A < N; ++A) {
-      std::vector<WInst> Next;
-      Next.push_back(WInst::block({{}, {}}, std::move(Cur)));
+      Out.close();
       // Arm A's code: params, payload, free (linear), arm body.
-      unstash(*PR, PLs, Next, /*Release=*/false);
+      unstash(*PR, PLs, O, /*Release=*/false);
       const Type &CaseT = H->cases()[A];
       Expected<std::vector<ValType>> CR = rep(CaseT);
       if (!CR)
         return CR.error();
-      loadFromMem(Base, 4, *CR, Next);
+      loadFromMem(Base, 4, *CR, O);
       if (Lin) {
-        Next.push_back(WInst::idx(Op::LocalGet, Base));
-        Next.push_back(WInst::idx(Op::Call, P.Out.Runtime.FreeFunc));
+        O.push_back(WInst::idx(Op::LocalGet, Base));
+        O.push_back(WInst::idx(Op::Call, P.Out.Runtime.FreeFunc));
       }
       uint32_t SavedDepth = Depth;
       Depth = DOut + static_cast<uint32_t>(N - 1 - A);
       RichLabels.push_back(DOut);
-      Expected<std::vector<WInst>> ArmCode = lowerSeq(VC->arms()[A]);
+      if (Status S = lowerSeq(VC->arms()[A]); !S)
+        return S;
       RichLabels.pop_back();
       Depth = SavedDepth;
-      if (!ArmCode)
-        return ArmCode.error();
-      Next.insert(Next.end(), std::make_move_iterator(ArmCode->begin()),
-                  std::make_move_iterator(ArmCode->end()));
       if (A + 1 < N)
-        Next.push_back(WInst::idx(Op::Br, static_cast<uint32_t>(N - 1 - A)));
-      Cur = std::move(Next);
+        O.push_back(WInst::idx(Op::Br, static_cast<uint32_t>(N - 1 - A)));
     }
-    O.push_back(WInst::block({{}, *RR}, std::move(Cur)));
+    Out.close();
     releaseAll(*PR, PLs);
 
     if (!Lin) {
@@ -1489,26 +1503,26 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
       uint32_t Addr = acquire(ValType::I32);
       O.push_back(WInst::i32c(0));
       O.push_back(WInst::idx(Op::LocalSet, Idx));
-      std::vector<WInst> LoopBody;
-      LoopBody.push_back(WInst::idx(Op::LocalGet, Idx));
-      LoopBody.push_back(WInst::idx(Op::LocalGet, Len));
-      LoopBody.push_back(WInst::mk(Op::I32GeU));
-      LoopBody.push_back(WInst::idx(Op::BrIf, 1));
-      LoopBody.push_back(WInst::idx(Op::LocalGet, Base));
-      LoopBody.push_back(WInst::idx(Op::LocalGet, Idx));
-      LoopBody.push_back(WInst::i32c(static_cast<int32_t>(*EB)));
-      LoopBody.push_back(WInst::mk(Op::I32Mul));
-      LoopBody.push_back(WInst::mk(Op::I32Add));
-      LoopBody.push_back(WInst::idx(Op::LocalSet, Addr));
-      storeComps(Addr, 4, *IR, ILs, LoopBody);
-      LoopBody.push_back(WInst::idx(Op::LocalGet, Idx));
-      LoopBody.push_back(WInst::i32c(1));
-      LoopBody.push_back(WInst::mk(Op::I32Add));
-      LoopBody.push_back(WInst::idx(Op::LocalSet, Idx));
-      LoopBody.push_back(WInst::idx(Op::Br, 0));
-      std::vector<WInst> LoopBlk;
-      LoopBlk.push_back(WInst::loop({{}, {}}, std::move(LoopBody)));
-      O.push_back(WInst::block({{}, {}}, std::move(LoopBlk)));
+      Out.open(Op::Block);
+      Out.open(Op::Loop);
+      O.push_back(WInst::idx(Op::LocalGet, Idx));
+      O.push_back(WInst::idx(Op::LocalGet, Len));
+      O.push_back(WInst::mk(Op::I32GeU));
+      O.push_back(WInst::idx(Op::BrIf, 1));
+      O.push_back(WInst::idx(Op::LocalGet, Base));
+      O.push_back(WInst::idx(Op::LocalGet, Idx));
+      O.push_back(WInst::i32c(static_cast<int32_t>(*EB)));
+      O.push_back(WInst::mk(Op::I32Mul));
+      O.push_back(WInst::mk(Op::I32Add));
+      O.push_back(WInst::idx(Op::LocalSet, Addr));
+      storeComps(Addr, 4, *IR, ILs, O);
+      O.push_back(WInst::idx(Op::LocalGet, Idx));
+      O.push_back(WInst::i32c(1));
+      O.push_back(WInst::mk(Op::I32Add));
+      O.push_back(WInst::idx(Op::LocalSet, Idx));
+      O.push_back(WInst::idx(Op::Br, 0));
+      Out.close();
+      Out.close();
       release(ValType::I32, Idx);
       release(ValType::I32, Addr);
     }
@@ -1545,7 +1559,9 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
     O.push_back(WInst::idx(Op::LocalGet, Base));
     O.push_back(WInst::mem(Op::I32Load, 2, 0));
     O.push_back(WInst::mk(Op::I32GeU));
-    O.push_back(WInst::ifElse({{}, {}}, {WInst::mk(Op::Unreachable)}, {}));
+    Out.open(Op::If);
+    O.push_back(WInst::mk(Op::Unreachable));
+    Out.close();
     // addr = base + idx * elemBytes
     uint32_t Addr = acquire(ValType::I32);
     O.push_back(WInst::idx(Op::LocalGet, Base));
@@ -1632,23 +1648,20 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
     uint32_t Base = acquire(ValType::I32);
     O.push_back(WInst::idx(Op::LocalSet, Base));
 
-    std::vector<WInst> BodyPre;
-    unstash(*PR, PLs, BodyPre, /*Release=*/false);
-    loadFromMem(Base, 0, *AR, BodyPre);
+    Out.open(Op::Block, {}, *RR);
+    unstash(*PR, PLs, O, /*Release=*/false);
+    loadFromMem(Base, 0, *AR, O);
     if (Lin) {
-      BodyPre.push_back(WInst::idx(Op::LocalGet, Base));
-      BodyPre.push_back(WInst::idx(Op::Call, P.Out.Runtime.FreeFunc));
+      O.push_back(WInst::idx(Op::LocalGet, Base));
+      O.push_back(WInst::idx(Op::Call, P.Out.Runtime.FreeFunc));
     }
     ++Depth;
     RichLabels.push_back(Depth);
-    Expected<std::vector<WInst>> B = lowerSeq(EU->body());
+    if (Status S = lowerSeq(EU->body()); !S)
+      return S;
     RichLabels.pop_back();
     --Depth;
-    if (!B)
-      return B.error();
-    BodyPre.insert(BodyPre.end(), std::make_move_iterator(B->begin()),
-                   std::make_move_iterator(B->end()));
-    O.push_back(WInst::block({{}, *RR}, std::move(BodyPre)));
+    Out.close();
     releaseAll(*PR, PLs);
     if (!Lin) {
       FuncLowering::Scratch RLs = stash(*RR, O);
@@ -1859,9 +1872,8 @@ Expected<LoweredProgram> ProgramLowering::run() {
   };
   struct FnResult {
     std::vector<ValType> PR, RR;
-    std::vector<ValType> Locals;
-    std::vector<WInst> Code;
-    bool HasCallIndirect = false;
+    wasm::WFunc Code;
+    std::vector<wasm::FuncType> IndirectSigs;
     Status S = Status::success();
   };
   std::vector<FnWork> Work;
@@ -1898,9 +1910,11 @@ Expected<LoweredProgram> ProgramLowering::run() {
       return;
     }
 
-    FuncLowering FL(*this, MI, Bounds, *PR);
-    // Word locals for every RichWasm local (params first).
-    std::vector<WInst> Prologue;
+    FuncLowering FL(*this, MI, std::move(Bounds),
+                    static_cast<uint32_t>(PR->size()), codeBuffer());
+    // Word locals for every RichWasm local (params first), filled from
+    // the natural parameter components by a prologue.
+    std::vector<WInst> &Prologue = FL.Out.Body;
     uint32_t ParamComp = 0;
     for (const Type &PT : F.Ty->arrow().Params) {
       Expected<std::vector<ValType>> Rep = FL.rep(PT);
@@ -1942,20 +1956,16 @@ Expected<LoweredProgram> ProgramLowering::run() {
       FL.RwLocalWords.push_back(Words);
     }
 
-    Expected<std::vector<WInst>> Body = FL.lowerSeq(F.Body);
-    if (!Body) {
+    if (Status S = FL.lowerSeq(F.Body); !S) {
       R.S = Error("in function " + std::to_string(FI) + " of '" + M.Name +
-                  "': " + Body.error().message());
+                  "': " + S.error().message());
       return;
     }
-    std::vector<WInst> Full = std::move(Prologue);
-    Full.insert(Full.end(), std::make_move_iterator(Body->begin()),
-                std::make_move_iterator(Body->end()));
     R.PR = std::move(*PR);
     R.RR = std::move(*RR);
-    R.Locals = std::move(FL.ExtraLocals);
-    R.Code = std::move(Full);
-    R.HasCallIndirect = FL.HasCallIndirect;
+    R.Code = takeCode(FL.Out);
+    R.Code.Locals = std::move(FL.ExtraLocals);
+    R.IndirectSigs = std::move(FL.IndirectSigs);
   };
 
   auto recordFailure = [&](size_t W) {
@@ -1985,17 +1995,19 @@ Expected<LoweredProgram> ProgramLowering::run() {
     }
   }
 
-  std::vector<uint32_t> NeedsIndirectPatch;
+  // (function, its call_indirect signatures) for the type-index patch.
+  std::vector<std::pair<uint32_t, std::vector<wasm::FuncType>>>
+      NeedsIndirectPatch;
   for (size_t W = 0; W < Work.size(); ++W) {
     FnResult &R = Results[W];
     if (!R.S)
       return R.S.error();
-    uint32_t TI = Out.Module.addType({R.PR, R.RR});
-    if (R.HasCallIndirect)
+    R.Code.TypeIdx = Out.Module.addType({std::move(R.PR), std::move(R.RR)});
+    if (!R.IndirectSigs.empty())
       NeedsIndirectPatch.push_back(
-          static_cast<uint32_t>(Out.Module.Funcs.size()));
-    Out.Module.Funcs.push_back(
-        {TI, std::move(R.Locals), std::move(R.Code)});
+          {static_cast<uint32_t>(Out.Module.Funcs.size()),
+           std::move(R.IndirectSigs)});
+    Out.Module.Funcs.push_back(std::move(R.Code));
     assert(Out.Module.numFuncs() - 1 ==
                Out.FuncMap.at({Work[W].Mod, Work[W].Func}) &&
            "function index assignment drifted");
@@ -2009,23 +2021,24 @@ Expected<LoweredProgram> ProgramLowering::run() {
       const Global &G = M.Globals[GI];
       if (G.isImport() || G.Init.empty())
         continue;
-      FuncLowering FL(*this, MI, TypeVarSizes{}, {});
-      Expected<std::vector<WInst>> Code = FL.lowerSeq(G.Init);
-      if (!Code)
+      FuncLowering FL(*this, MI, TypeVarSizes{}, 0, codeBuffer());
+      if (Status S = FL.lowerSeq(G.Init); !S)
         return Error("in global initializer of '" + M.Name + "': " +
-                     Code.error().message());
+                     S.error().message());
       // Wrap as its own function so locals are private.
       auto [Base, Reps] = GlobalMap.at({MI, GI});
-      std::vector<WInst> Body = std::move(*Code);
       for (size_t J = Reps.size(); J > 0; --J)
-        Body.push_back(
+        FL.Out.Body.push_back(
             WInst::idx(Op::GlobalSet, Base + static_cast<uint32_t>(J - 1)));
-      uint32_t TI = Out.Module.addType({{}, {}});
+      wasm::WFunc Fn = takeCode(FL.Out);
+      Fn.TypeIdx = Out.Module.addType({{}, {}});
+      Fn.Locals = std::move(FL.ExtraLocals);
       uint32_t Idx = Out.Module.numFuncs();
-      if (FL.HasCallIndirect)
+      if (!FL.IndirectSigs.empty())
         NeedsIndirectPatch.push_back(
-            static_cast<uint32_t>(Out.Module.Funcs.size()));
-      Out.Module.Funcs.push_back({TI, FL.ExtraLocals, std::move(Body)});
+            {static_cast<uint32_t>(Out.Module.Funcs.size()),
+             std::move(FL.IndirectSigs)});
+      Out.Module.Funcs.push_back(std::move(Fn));
       InitBody.push_back(WInst::idx(Op::Call, Idx));
     }
   }
@@ -2040,20 +2053,11 @@ Expected<LoweredProgram> ProgramLowering::run() {
   // function bodies and global initializers alike (previously the pass
   // ran before the initializers were lowered, so a call_indirect inside
   // one kept its placeholder type index) — and walks only the bodies
-  // that actually emitted a call_indirect (flagged during lowering).
-  {
-    std::function<void(std::vector<WInst> &)> Fix =
-        [&](std::vector<WInst> &Body) {
-          for (WInst &W : Body) {
-            if (W.K == Op::CallIndirect)
-              W.U32 = Out.Module.addType(W.BT);
-            Fix(W.Body);
-            Fix(W.Else);
-          }
-        };
-    for (uint32_t FIdx : NeedsIndirectPatch)
-      Fix(Out.Module.Funcs[FIdx].Body);
-  }
+  // that actually emitted a call_indirect, in stream order.
+  for (auto &[FIdx, Sigs] : NeedsIndirectPatch)
+    for (WInst &W : Out.Module.Funcs[FIdx].Body)
+      if (W.K == Op::CallIndirect)
+        W.U32 = Out.Module.addType(Sigs[W.U32]);
   if (!InitBody.empty()) {
     uint32_t TI = Out.Module.addType({{}, {}});
     uint32_t Idx = Out.Module.numFuncs();

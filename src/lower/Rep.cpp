@@ -21,41 +21,43 @@ static Expected<uint32_t> boundWords(const SizeRef &Bound) {
   return static_cast<uint32_t>((N.Const + 31) / 32);
 }
 
-Expected<std::vector<ValType>>
-rw::lower::repOfPretype(const Pretype *P, const TypeVarSizes &Bounds) {
+/// Appends the representation of \p P to \p Out: one output vector for
+/// a whole product or type list instead of one per component.
+static Status appendRep(const Pretype *P, const TypeVarSizes &Bounds,
+                        std::vector<ValType> &Out) {
   switch (P->kind()) {
   case PretypeKind::Unit:
   case PretypeKind::Cap:
   case PretypeKind::Own:
-    return std::vector<ValType>{};
+    return Status::success();
   case PretypeKind::Num:
     switch (cast<NumPT>(P)->numType()) {
     case NumType::I32:
     case NumType::U32:
-      return std::vector<ValType>{ValType::I32};
+      Out.push_back(ValType::I32);
+      return Status::success();
     case NumType::I64:
     case NumType::U64:
-      return std::vector<ValType>{ValType::I64};
+      Out.push_back(ValType::I64);
+      return Status::success();
     case NumType::F32:
-      return std::vector<ValType>{ValType::F32};
+      Out.push_back(ValType::F32);
+      return Status::success();
     case NumType::F64:
-      return std::vector<ValType>{ValType::F64};
+      Out.push_back(ValType::F64);
+      return Status::success();
     }
     return Error("bad numeric type");
   case PretypeKind::Ref:
   case PretypeKind::Ptr:
   case PretypeKind::Coderef:
-    return std::vector<ValType>{ValType::I32};
-  case PretypeKind::Prod: {
-    std::vector<ValType> Out;
-    for (const Type &E : cast<ProdPT>(P)->elems()) {
-      Expected<std::vector<ValType>> R = repOfType(E, Bounds);
-      if (!R)
-        return R;
-      Out.insert(Out.end(), R->begin(), R->end());
-    }
-    return Out;
-  }
+    Out.push_back(ValType::I32);
+    return Status::success();
+  case PretypeKind::Prod:
+    for (const Type &E : cast<ProdPT>(P)->elems())
+      if (Status S = appendRep(E.P.get(), Bounds, Out); !S)
+        return S;
+    return Status::success();
   case PretypeKind::Var: {
     uint32_t Idx = cast<VarPT>(P)->index();
     if (Idx >= Bounds.size())
@@ -63,25 +65,36 @@ rw::lower::repOfPretype(const Pretype *P, const TypeVarSizes &Bounds) {
     Expected<uint32_t> W = boundWords(Bounds[Idx]);
     if (!W)
       return W.error();
-    return std::vector<ValType>(*W, ValType::I32);
+    Out.insert(Out.end(), *W, ValType::I32);
+    return Status::success();
   }
   case PretypeKind::Skolem: {
     Expected<uint32_t> W = boundWords(cast<SkolemPT>(P)->sizeUpper());
     if (!W)
       return W.error();
-    return std::vector<ValType>(*W, ValType::I32);
+    Out.insert(Out.end(), *W, ValType::I32);
+    return Status::success();
   }
   case PretypeKind::Rec: {
     // The rec variable only occurs behind a reference; represent the body
     // with the variable mapped to a single pointer word, which is exactly
     // what any occurrence (necessarily under ref) lowers to anyway.
     Subst S = Subst::onePretype(ptrPT(Loc::concrete(MemKind::Unr, 0)));
-    return repOfType(S.rewrite(cast<RecPT>(P)->body()), Bounds);
+    Type Body = S.rewrite(cast<RecPT>(P)->body());
+    return appendRep(Body.P.get(), Bounds, Out);
   }
   case PretypeKind::ExLoc:
-    return repOfType(cast<ExLocPT>(P)->body(), Bounds);
+    return appendRep(cast<ExLocPT>(P)->body().P.get(), Bounds, Out);
   }
   return Error("unhandled pretype in lowering");
+}
+
+Expected<std::vector<ValType>>
+rw::lower::repOfPretype(const Pretype *P, const TypeVarSizes &Bounds) {
+  std::vector<ValType> Out;
+  if (Status S = appendRep(P, Bounds, Out); !S)
+    return S.error();
+  return Out;
 }
 
 Expected<std::vector<ValType>>
@@ -93,12 +106,9 @@ Expected<std::vector<ValType>>
 rw::lower::repOfTypes(const std::vector<Type> &Ts,
                       const TypeVarSizes &Bounds) {
   std::vector<ValType> Out;
-  for (const Type &T : Ts) {
-    Expected<std::vector<ValType>> R = repOfType(T, Bounds);
-    if (!R)
-      return R;
-    Out.insert(Out.end(), R->begin(), R->end());
-  }
+  for (const Type &T : Ts)
+    if (Status S = appendRep(T.P.get(), Bounds, Out); !S)
+      return S.error();
   return Out;
 }
 

@@ -41,8 +41,11 @@ RuntimeLayout rw::lower::emitRuntime(WModule &M) {
   //===------------------------------------------------------------------===//
   {
     using W = WInst;
-    std::vector<WInst> Body;
-    auto Emit = [&](WInst I) { Body.push_back(std::move(I)); };
+    WFunc F;
+    auto Emit = [&](WInst I) { F.Body.push_back(I); };
+    auto Open = [&](Op K) { F.open(K); };
+    auto Else = [&] { F.Body.push_back(W::mk(Op::Else)); };
+    auto End = [&] { F.close(); };
 
     // total = (payload + HEADER + 7) & ~7
     Emit(W::idx(Op::LocalGet, 0));
@@ -59,138 +62,124 @@ RuntimeLayout rw::lower::emitRuntime(WModule &M) {
     Emit(W::idx(Op::LocalSet, 5));
 
     // block $found { block $bump { loop $scan { ... } } bump-path } init
-    std::vector<WInst> Scan;
-    auto S = [&](WInst I) { Scan.push_back(std::move(I)); };
+    Open(Op::Block); // $found
+    Open(Op::Block); // $bump
+    Open(Op::Loop);  // $scan
     // if cur == 0 break to $bump (depth 1 from inside loop)
-    S(W::idx(Op::LocalGet, 5));
-    S(W::mk(Op::I32Eqz));
-    S(W::idx(Op::BrIf, 1));
+    Emit(W::idx(Op::LocalGet, 5));
+    Emit(W::mk(Op::I32Eqz));
+    Emit(W::idx(Op::BrIf, 1));
     // if load(cur) >= total: take this block
-    S(W::idx(Op::LocalGet, 5));
-    S(W::mem(Op::I32Load, 2, 0));
-    S(W::idx(Op::LocalGet, 3));
-    S(W::mk(Op::I32GeU));
+    Emit(W::idx(Op::LocalGet, 5));
+    Emit(W::mem(Op::I32Load, 2, 0));
+    Emit(W::idx(Op::LocalGet, 3));
+    Emit(W::mk(Op::I32GeU));
+    Open(Op::If);
     {
-      std::vector<WInst> Take;
-      auto T = [&](WInst I) { Take.push_back(std::move(I)); };
       // scratch = next = load(cur + 8)
-      T(W::idx(Op::LocalGet, 5));
-      T(W::mem(Op::I32Load, 2, 8));
-      T(W::idx(Op::LocalSet, 7));
+      Emit(W::idx(Op::LocalGet, 5));
+      Emit(W::mem(Op::I32Load, 2, 8));
+      Emit(W::idx(Op::LocalSet, 7));
       // Split when the remainder is big enough for a free block.
       // if load(cur) - total >= 24:
-      T(W::idx(Op::LocalGet, 5));
-      T(W::mem(Op::I32Load, 2, 0));
-      T(W::idx(Op::LocalGet, 3));
-      T(W::mk(Op::I32Sub));
-      T(W::i32c(24));
-      T(W::mk(Op::I32GeU));
+      Emit(W::idx(Op::LocalGet, 5));
+      Emit(W::mem(Op::I32Load, 2, 0));
+      Emit(W::idx(Op::LocalGet, 3));
+      Emit(W::mk(Op::I32Sub));
+      Emit(W::i32c(24));
+      Emit(W::mk(Op::I32GeU));
+      Open(Op::If);
       {
-        std::vector<WInst> Split;
-        auto P = [&](WInst I) { Split.push_back(std::move(I)); };
         // rem = cur + total; store(rem, load(cur) - total);
         // store(rem+4, 0); store(rem+8, scratch); scratch = rem
-        P(W::idx(Op::LocalGet, 5));
-        P(W::idx(Op::LocalGet, 3));
-        P(W::mk(Op::I32Add));
-        P(W::idx(Op::LocalGet, 5));
-        P(W::mem(Op::I32Load, 2, 0));
-        P(W::idx(Op::LocalGet, 3));
-        P(W::mk(Op::I32Sub));
-        P(W::mem(Op::I32Store, 2, 0));
-        P(W::idx(Op::LocalGet, 5));
-        P(W::idx(Op::LocalGet, 3));
-        P(W::mk(Op::I32Add));
-        P(W::i32c(0));
-        P(W::mem(Op::I32Store, 2, 4));
-        P(W::idx(Op::LocalGet, 5));
-        P(W::idx(Op::LocalGet, 3));
-        P(W::mk(Op::I32Add));
-        P(W::idx(Op::LocalGet, 7));
-        P(W::mem(Op::I32Store, 2, 8));
-        P(W::idx(Op::LocalGet, 5));
-        P(W::idx(Op::LocalGet, 3));
-        P(W::mk(Op::I32Add));
-        P(W::idx(Op::LocalSet, 7));
+        Emit(W::idx(Op::LocalGet, 5));
+        Emit(W::idx(Op::LocalGet, 3));
+        Emit(W::mk(Op::I32Add));
+        Emit(W::idx(Op::LocalGet, 5));
+        Emit(W::mem(Op::I32Load, 2, 0));
+        Emit(W::idx(Op::LocalGet, 3));
+        Emit(W::mk(Op::I32Sub));
+        Emit(W::mem(Op::I32Store, 2, 0));
+        Emit(W::idx(Op::LocalGet, 5));
+        Emit(W::idx(Op::LocalGet, 3));
+        Emit(W::mk(Op::I32Add));
+        Emit(W::i32c(0));
+        Emit(W::mem(Op::I32Store, 2, 4));
+        Emit(W::idx(Op::LocalGet, 5));
+        Emit(W::idx(Op::LocalGet, 3));
+        Emit(W::mk(Op::I32Add));
+        Emit(W::idx(Op::LocalGet, 7));
+        Emit(W::mem(Op::I32Store, 2, 8));
+        Emit(W::idx(Op::LocalGet, 5));
+        Emit(W::idx(Op::LocalGet, 3));
+        Emit(W::mk(Op::I32Add));
+        Emit(W::idx(Op::LocalSet, 7));
         // store(cur, total) — shrink the taken block.
-        P(W::idx(Op::LocalGet, 5));
-        P(W::idx(Op::LocalGet, 3));
-        P(W::mem(Op::I32Store, 2, 0));
-        T(W::ifElse({{}, {}}, std::move(Split), {}));
+        Emit(W::idx(Op::LocalGet, 5));
+        Emit(W::idx(Op::LocalGet, 3));
+        Emit(W::mem(Op::I32Store, 2, 0));
       }
+      End();
       // Unlink: if prev: store(prev+8, scratch) else G_FREE = scratch
-      T(W::idx(Op::LocalGet, 4));
-      {
-        std::vector<WInst> HasPrev = {
-            W::idx(Op::LocalGet, 4),
-            W::idx(Op::LocalGet, 7),
-            W::mem(Op::I32Store, 2, 8),
-        };
-        std::vector<WInst> NoPrev = {
-            W::idx(Op::LocalGet, 7),
-            W::idx(Op::GlobalSet, L.GFree),
-        };
-        T(W::ifElse({{}, {}}, std::move(HasPrev), std::move(NoPrev)));
-      }
-      // blk = cur; br $found (depth 2 from inside loop)
-      T(W::idx(Op::LocalGet, 5));
-      T(W::idx(Op::LocalSet, 6));
-      T(W::idx(Op::Br, 3));
-      S(W::ifElse({{}, {}}, std::move(Take), {}));
+      Emit(W::idx(Op::LocalGet, 4));
+      Open(Op::If);
+      Emit(W::idx(Op::LocalGet, 4));
+      Emit(W::idx(Op::LocalGet, 7));
+      Emit(W::mem(Op::I32Store, 2, 8));
+      Else();
+      Emit(W::idx(Op::LocalGet, 7));
+      Emit(W::idx(Op::GlobalSet, L.GFree));
+      End();
+      // blk = cur; br $found (depth 3 from inside the if)
+      Emit(W::idx(Op::LocalGet, 5));
+      Emit(W::idx(Op::LocalSet, 6));
+      Emit(W::idx(Op::Br, 3));
     }
+    End();
     // prev = cur; cur = load(cur + 8); continue
-    S(W::idx(Op::LocalGet, 5));
-    S(W::idx(Op::LocalSet, 4));
-    S(W::idx(Op::LocalGet, 5));
-    S(W::mem(Op::I32Load, 2, 8));
-    S(W::idx(Op::LocalSet, 5));
-    S(W::idx(Op::Br, 0));
+    Emit(W::idx(Op::LocalGet, 5));
+    Emit(W::idx(Op::LocalSet, 4));
+    Emit(W::idx(Op::LocalGet, 5));
+    Emit(W::mem(Op::I32Load, 2, 8));
+    Emit(W::idx(Op::LocalSet, 5));
+    Emit(W::idx(Op::Br, 0));
+    End(); // $scan
+    End(); // $bump (falls through only via the br_if above)
 
-    std::vector<WInst> BumpPath;
-    auto Bp = [&](WInst I) { BumpPath.push_back(std::move(I)); };
-    Bp(W::loop({{}, {}}, std::move(Scan)));
-    // (falls through only via the br_if above)
-    std::vector<WInst> FoundBody;
-    auto Fb = [&](WInst I) { FoundBody.push_back(std::move(I)); };
-    Fb(W::block({{}, {}}, std::move(BumpPath)));
     // Bump path: blk = G_BUMP; ensure capacity; G_BUMP += total.
-    Fb(W::idx(Op::GlobalGet, L.GBump));
-    Fb(W::idx(Op::LocalSet, 6));
+    Emit(W::idx(Op::GlobalGet, L.GBump));
+    Emit(W::idx(Op::LocalSet, 6));
     // while (blk + total > memory.size * 64K) grow 1 page (or trap).
-    {
-      std::vector<WInst> GrowLoop;
-      auto G = [&](WInst I) { GrowLoop.push_back(std::move(I)); };
-      G(W::idx(Op::LocalGet, 6));
-      G(W::idx(Op::LocalGet, 3));
-      G(W::mk(Op::I32Add));
-      G(W::mk(Op::MemorySize));
-      G(W::i32c(16));
-      G(W::mk(Op::I32Shl));
-      G(W::mk(Op::I32LeU));
-      G(W::idx(Op::BrIf, 1)); // Enough space: exit the grow loop.
-      G(W::i32c(1));
-      G(W::mk(Op::MemoryGrow));
-      G(W::i32c(-1));
-      G(W::mk(Op::I32Eq));
-      {
-        std::vector<WInst> Oom = {W::mk(Op::Unreachable)};
-        G(W::ifElse({{}, {}}, std::move(Oom), {}));
-      }
-      G(W::idx(Op::Br, 0));
-      std::vector<WInst> GrowBlock;
-      GrowBlock.push_back(W::loop({{}, {}}, std::move(GrowLoop)));
-      Fb(W::block({{}, {}}, std::move(GrowBlock)));
-    }
-    Fb(W::idx(Op::LocalGet, 6));
-    Fb(W::idx(Op::LocalGet, 3));
-    Fb(W::mk(Op::I32Add));
-    Fb(W::idx(Op::GlobalSet, L.GBump));
+    Open(Op::Block);
+    Open(Op::Loop);
+    Emit(W::idx(Op::LocalGet, 6));
+    Emit(W::idx(Op::LocalGet, 3));
+    Emit(W::mk(Op::I32Add));
+    Emit(W::mk(Op::MemorySize));
+    Emit(W::i32c(16));
+    Emit(W::mk(Op::I32Shl));
+    Emit(W::mk(Op::I32LeU));
+    Emit(W::idx(Op::BrIf, 1)); // Enough space: exit the grow loop.
+    Emit(W::i32c(1));
+    Emit(W::mk(Op::MemoryGrow));
+    Emit(W::i32c(-1));
+    Emit(W::mk(Op::I32Eq));
+    Open(Op::If);
+    Emit(W::mk(Op::Unreachable));
+    End();
+    Emit(W::idx(Op::Br, 0));
+    End();
+    End();
+    Emit(W::idx(Op::LocalGet, 6));
+    Emit(W::idx(Op::LocalGet, 3));
+    Emit(W::mk(Op::I32Add));
+    Emit(W::idx(Op::GlobalSet, L.GBump));
     // store(blk, total)
-    Fb(W::idx(Op::LocalGet, 6));
-    Fb(W::idx(Op::LocalGet, 3));
-    Fb(W::mem(Op::I32Store, 2, 0));
+    Emit(W::idx(Op::LocalGet, 6));
+    Emit(W::idx(Op::LocalGet, 3));
+    Emit(W::mem(Op::I32Store, 2, 0));
+    End(); // $found
 
-    Emit(W::block({{}, {}}, std::move(FoundBody)));
     // Common init: flags, ptrmap, zero payload, counters.
     Emit(W::idx(Op::LocalGet, 6));
     Emit(W::idx(Op::LocalGet, 1));
@@ -205,27 +194,24 @@ RuntimeLayout rw::lower::emitRuntime(WModule &M) {
     Emit(W::i32c(RuntimeLayout::HeaderBytes));
     Emit(W::mk(Op::I32Add));
     Emit(W::idx(Op::LocalSet, 7));
-    {
-      std::vector<WInst> ZeroLoop;
-      auto Z = [&](WInst I) { ZeroLoop.push_back(std::move(I)); };
-      Z(W::idx(Op::LocalGet, 7));
-      Z(W::idx(Op::LocalGet, 6));
-      Z(W::idx(Op::LocalGet, 3));
-      Z(W::mk(Op::I32Add));
-      Z(W::mk(Op::I32GeU));
-      Z(W::idx(Op::BrIf, 1));
-      Z(W::idx(Op::LocalGet, 7));
-      Z(W::i32c(0));
-      Z(W::mem(Op::I32Store, 2, 0));
-      Z(W::idx(Op::LocalGet, 7));
-      Z(W::i32c(4));
-      Z(W::mk(Op::I32Add));
-      Z(W::idx(Op::LocalSet, 7));
-      Z(W::idx(Op::Br, 0));
-      std::vector<WInst> ZeroBlock;
-      ZeroBlock.push_back(W::loop({{}, {}}, std::move(ZeroLoop)));
-      Emit(W::block({{}, {}}, std::move(ZeroBlock)));
-    }
+    Open(Op::Block);
+    Open(Op::Loop);
+    Emit(W::idx(Op::LocalGet, 7));
+    Emit(W::idx(Op::LocalGet, 6));
+    Emit(W::idx(Op::LocalGet, 3));
+    Emit(W::mk(Op::I32Add));
+    Emit(W::mk(Op::I32GeU));
+    Emit(W::idx(Op::BrIf, 1));
+    Emit(W::idx(Op::LocalGet, 7));
+    Emit(W::i32c(0));
+    Emit(W::mem(Op::I32Store, 2, 0));
+    Emit(W::idx(Op::LocalGet, 7));
+    Emit(W::i32c(4));
+    Emit(W::mk(Op::I32Add));
+    Emit(W::idx(Op::LocalSet, 7));
+    Emit(W::idx(Op::Br, 0));
+    End();
+    End();
     Emit(W::idx(Op::GlobalGet, L.GLive));
     Emit(W::i32c(1));
     Emit(W::mk(Op::I32Add));
@@ -241,10 +227,10 @@ RuntimeLayout rw::lower::emitRuntime(WModule &M) {
     uint32_t TI = M.addType(
         {{ValType::I32, ValType::I32, ValType::I32}, {ValType::I32}});
     L.AllocFunc = M.numFuncs();
-    M.Funcs.push_back({TI,
-                       {ValType::I32, ValType::I32, ValType::I32,
-                        ValType::I32, ValType::I32},
-                       std::move(Body)});
+    F.TypeIdx = TI;
+    F.Locals = {ValType::I32, ValType::I32, ValType::I32, ValType::I32,
+                ValType::I32};
+    M.Funcs.push_back(std::move(F));
   }
 
   //===------------------------------------------------------------------===//

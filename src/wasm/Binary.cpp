@@ -26,15 +26,20 @@ namespace {
 
 class Encoder {
 public:
-  explicit Encoder(WModule M) : M(std::move(M)) {}
+  explicit Encoder(const WModule &M) : M(M), Types(M.Types) {}
 
   std::vector<uint8_t> run() {
     // Pre-register all multi-value block types so the type section is
     // complete before it is emitted.
-    for (WFunc &F : M.Funcs)
-      registerBlockTypes(F.Body);
-    for (WGlobal &G : M.Globals)
-      registerBlockTypes(G.Init);
+    for (const WFunc &F : M.Funcs)
+      for (const WInst &I : F.Body)
+        if (opensFrame(I.K)) {
+          const FuncType &BT = F.blockType(I);
+          if (!(BT.Params.empty() && BT.Results.size() <= 1) &&
+              typeIndex(BT) < 0) {
+            Types.push_back(BT);
+          }
+        }
 
     Out = {0x00, 0x61, 0x73, 0x6d, 0x01, 0x00, 0x00, 0x00};
     emitTypeSection();
@@ -52,15 +57,12 @@ public:
   }
 
 private:
-  void registerBlockTypes(std::vector<WInst> &Body) {
-    for (WInst &I : Body) {
-      if (I.K == Op::Block || I.K == Op::Loop || I.K == Op::If) {
-        if (!(I.BT.Params.empty() && I.BT.Results.size() <= 1))
-          M.addType(I.BT);
-        registerBlockTypes(I.Body);
-        registerBlockTypes(I.Else);
-      }
-    }
+  /// Index of the first type equal to \p FT, or -1.
+  int64_t typeIndex(const FuncType &FT) const {
+    for (uint32_t I = 0; I < Types.size(); ++I)
+      if (Types[I] == FT)
+        return I;
+    return -1;
   }
 
   void u8(uint8_t B) { Out.push_back(B); }
@@ -95,11 +97,11 @@ private:
   }
 
   void emitTypeSection() {
-    if (M.Types.empty())
+    if (Types.empty())
       return;
     section(1, [&] {
-      u32(M.Types.size());
-      for (const FuncType &T : M.Types) {
+      u32(Types.size());
+      for (const FuncType &T : Types) {
         u8(0x60);
         u32(T.Params.size());
         for (ValType V : T.Params)
@@ -170,7 +172,7 @@ private:
       for (const WGlobal &G : M.Globals) {
         valType(G.T);
         u8(G.Mut ? 0x01 : 0x00);
-        expr(G.Init);
+        expr(G.Init, nullptr);
       }
     });
   }
@@ -231,7 +233,7 @@ private:
           u32(R.first);
           valType(R.second);
         }
-        expr(F.Body);
+        expr(F.Body, &F);
         std::vector<uint8_t> Body = std::move(Out);
         Out = std::move(Saved);
         u32(Body.size());
@@ -256,7 +258,15 @@ private:
     });
   }
 
-  void blockType(const FuncType &BT) {
+  /// \p F supplies the side tables; constant expressions have none (a
+  /// structured op there never validates, and is written with the empty
+  /// block type and no br_table targets).
+  void blockType(const WInst &I, const WFunc *F) {
+    if (!F || I.U32 >= F->BlockTypes.size()) {
+      u8(0x40);
+      return;
+    }
+    const FuncType &BT = F->blockType(I);
     if (BT.Params.empty() && BT.Results.empty()) {
       u8(0x40);
       return;
@@ -266,43 +276,24 @@ private:
       return;
     }
     // Multi-value: s33 type index (registered beforehand).
-    int64_t Idx = -1;
-    for (uint32_t I = 0; I < M.Types.size(); ++I)
-      if (M.Types[I] == BT) {
-        Idx = I;
-        break;
-      }
+    int64_t Idx = typeIndex(BT);
     assert(Idx >= 0 && "block type not registered");
     s64(Idx);
   }
 
-  void expr(const std::vector<WInst> &Body) {
-    insts(Body);
+  void expr(const std::vector<WInst> &Body, const WFunc *F) {
+    for (const WInst &I : Body)
+      inst(I, F);
     u8(0x0b); // end
   }
 
-  void insts(const std::vector<WInst> &Body) {
-    for (const WInst &I : Body)
-      inst(I);
-  }
-
-  void inst(const WInst &I) {
+  void inst(const WInst &I, const WFunc *F) {
     u8(static_cast<uint8_t>(I.K));
     switch (I.K) {
     case Op::Block:
     case Op::Loop:
-      blockType(I.BT);
-      insts(I.Body);
-      u8(0x0b);
-      break;
     case Op::If:
-      blockType(I.BT);
-      insts(I.Body);
-      if (!I.Else.empty()) {
-        u8(0x05); // else
-        insts(I.Else);
-      }
-      u8(0x0b);
+      blockType(I, F);
       break;
     case Op::Br:
     case Op::BrIf:
@@ -318,12 +309,16 @@ private:
       u32(I.U32);
       u8(0x00); // table index
       break;
-    case Op::BrTable:
-      u32(I.Table.size());
-      for (uint32_t T : I.Table)
+    case Op::BrTable: {
+      std::span<const uint32_t> Ts;
+      if (F)
+        Ts = F->brTargets(I);
+      u32(Ts.size());
+      for (uint32_t T : Ts)
         u32(T);
       u32(I.U32);
       break;
+    }
     case Op::I32Const:
       s64(static_cast<int32_t>(I.U64));
       break;
@@ -343,22 +338,24 @@ private:
     default: {
       uint8_t C = static_cast<uint8_t>(I.K);
       if (C >= 0x28 && C <= 0x3e) { // memarg
-        u32(I.Align);
-        u32(I.Offset);
+        u32(I.align());
+        u32(I.offset());
       }
       break;
     }
     }
   }
 
-  WModule M;
+  const WModule &M;
+  /// M.Types plus the registered multi-value block types.
+  std::vector<FuncType> Types;
   std::vector<uint8_t> Out;
 };
 
 } // namespace
 
-std::vector<uint8_t> rw::wasm::encode(WModule M) {
-  Encoder E(std::move(M));
+std::vector<uint8_t> rw::wasm::encode(const WModule &M) {
+  Encoder E(M);
   return E.run();
 }
 
@@ -371,7 +368,7 @@ std::vector<uint8_t> rw::wasm::encode(WModule M) {
 // every wire count is checked against both its ingest::Limits cap and the
 // bytes remaining (an N-element vector needs at least N wire bytes), every
 // vector reservation is charged to a total allocation budget before it
-// happens, structured-control recursion is depth-capped, and every
+// happens, structured-control nesting is depth-capped, and every
 // rejection is reported as a structured ingest::IngestError carrying the
 // exact byte offset.
 
@@ -803,7 +800,7 @@ private:
       WGlobal G;
       G.T = *T;
       G.Mut = *Mut == 1;
-      Expected<std::vector<WInst>> Init = expr();
+      Expected<std::vector<WInst>> Init = constExpr();
       if (!Init)
         return Init.error();
       G.Init = std::move(*Init);
@@ -853,7 +850,7 @@ private:
         return fail(Category::Unsupported, Off,
                     "unsupported elem segment flag " + std::to_string(*Flag));
       Off = Pos;
-      Expected<std::vector<WInst>> OffExpr = expr();
+      Expected<std::vector<WInst>> OffExpr = constExpr();
       if (!OffExpr)
         return OffExpr.error();
       if (OffExpr->size() != 1 || (*OffExpr)[0].K != Op::I32Const)
@@ -931,10 +928,8 @@ private:
           return S;
         F.Locals.insert(F.Locals.end(), *Cnt, *T);
       }
-      Expected<std::vector<WInst>> Body = expr();
-      if (!Body)
-        return Body.error();
-      F.Body = std::move(*Body);
+      if (Status S = expr(F); !S)
+        return S;
       if (Pos != End)
         return fail(Category::Malformed, Pos, "code body size mismatch");
       Fence = SectionFence;
@@ -956,7 +951,7 @@ private:
         return fail(Category::Unsupported, Off,
                     "unsupported data segment flag " + std::to_string(*Flag));
       Off = Pos;
-      Expected<std::vector<WInst>> OffExpr = expr();
+      Expected<std::vector<WInst>> OffExpr = constExpr();
       if (!OffExpr)
         return OffExpr.error();
       if (OffExpr->size() != 1 || (*OffExpr)[0].K != Op::I32Const)
@@ -981,20 +976,20 @@ private:
     return Status::success();
   }
 
-  Expected<FuncType> blockType() {
+  /// Reads a block type as a code: 0 is [] -> [], 1..4 is [] -> [t] for
+  /// t = i32, i64, f32, f64, and 5 + i is M.Types[i].
+  Expected<uint32_t> blockTypeCode() {
     size_t Off = Pos;
     if (Pos >= Fence)
       return fail(Category::Truncated, Pos, "truncated block type");
     uint8_t Peek = B[Pos];
     if (Peek == 0x40) {
       ++Pos;
-      return FuncType{};
+      return 0u;
     }
     if (Peek == 0x7f || Peek == 0x7e || Peek == 0x7d || Peek == 0x7c) {
       ++Pos;
-      FuncType FT;
-      FT.Results.push_back(static_cast<ValType>(Peek));
-      return FT;
+      return 1u + (0x7fu - Peek);
     }
     Expected<int64_t> Idx = sleb(33, "block type index");
     if (!Idx)
@@ -1002,70 +997,97 @@ private:
     if (*Idx < 0 || static_cast<uint64_t>(*Idx) >= M.Types.size())
       return fail(Category::Malformed, Off,
                   "bad block type index " + std::to_string(*Idx));
-    return M.Types[static_cast<size_t>(*Idx)];
+    return 5u + static_cast<uint32_t>(*Idx);
   }
 
-  /// Parses instructions until the matching `end` (consumed). The `else`
-  /// marker terminates a then-branch without being consumed by it.
-  /// \p Depth counts enclosing structured instructions; it bounds both
-  /// this recursion and the validator's.
-  Expected<std::vector<WInst>> parseUntil(uint8_t &Terminator,
-                                          uint32_t Depth) {
-    if (Depth > L.MaxNestingDepth)
-      return fail(Category::LimitExceeded, Pos,
-                  "block nesting exceeds depth limit of " +
-                      std::to_string(L.MaxNestingDepth));
-    std::vector<WInst> Out;
+  /// The BlockTypes slot of block type \p Code in \p F, interned on first
+  /// use. SlotOf memoizes code -> slot + 1 for the body being parsed;
+  /// expr() resets the entries it used.
+  Expected<uint32_t> blockSlot(WFunc &F, uint32_t Code) {
+    if (SlotOf.size() < M.Types.size() + 5) {
+      if (Status S = charge((M.Types.size() + 5 - SlotOf.size()) *
+                                sizeof(uint32_t),
+                            "block type memo");
+          !S)
+        return S.error();
+      SlotOf.resize(M.Types.size() + 5, 0);
+    }
+    if (SlotOf[Code])
+      return SlotOf[Code] - 1;
+    FuncType FT;
+    if (Code >= 5)
+      FT = M.Types[Code - 5];
+    else if (Code > 0)
+      FT.Results.push_back(static_cast<ValType>(0x7f - (Code - 1)));
+    if (Status S = charge(sizeof(FuncType) + FT.Params.size() +
+                              FT.Results.size(),
+                          "block type");
+        !S)
+      return S.error();
+    F.BlockTypes.push_back(std::move(FT));
+    UsedCodes.push_back(Code);
+    SlotOf[Code] = static_cast<uint32_t>(F.BlockTypes.size());
+    return SlotOf[Code] - 1;
+  }
+
+  /// Parses one expression into \p F — body and side tables — up to its
+  /// terminating `end`, which is consumed but not stored. Structured
+  /// control is tracked on an explicit stack whose depth enforces
+  /// Limits::MaxNestingDepth: no recursion, however deep the input nests.
+  Status expr(WFunc &F) {
+    enum Frame : uint8_t { Plain, Then, ElseArm };
+    std::vector<Frame> Open;
     for (;;) {
       size_t Off = Pos;
       Expected<uint8_t> Bc = u8("opcode");
       if (!Bc)
         return Bc.error();
-      if (*Bc == 0x0b || *Bc == 0x05) {
-        Terminator = *Bc;
-        return Out;
+      if (*Bc == 0x0b) {
+        if (Open.empty())
+          break;
+        if (Status S = charge(sizeof(WInst), "instruction"); !S)
+          return S;
+        Open.pop_back();
+        F.close();
+        continue;
+      }
+      if (*Bc == 0x05) {
+        if (Open.empty())
+          return fail(Category::Malformed, Pos,
+                      "expression not terminated by end");
+        if (Open.back() == Plain)
+          return fail(Category::Malformed, Pos, "unexpected else in block");
+        if (Open.back() == ElseArm)
+          return fail(Category::Malformed, Pos, "unterminated else");
+        if (Status S = charge(sizeof(WInst), "instruction"); !S)
+          return S;
+        Open.back() = ElseArm;
+        F.Body.push_back(WInst(Op::Else));
+        continue;
       }
       if (!validOpcode(*Bc))
         return fail(Category::Malformed, Off,
                     "invalid opcode " + std::to_string(*Bc));
       if (Status S = charge(sizeof(WInst), "instruction"); !S)
-        return S.error();
+        return S;
       Op K = static_cast<Op>(*Bc);
       WInst I(K);
       switch (K) {
       case Op::Block:
-      case Op::Loop: {
-        Expected<FuncType> BT = blockType();
-        if (!BT)
-          return BT.error();
-        I.BT = std::move(*BT);
-        uint8_t T = 0;
-        Expected<std::vector<WInst>> Body = parseUntil(T, Depth + 1);
-        if (!Body)
-          return Body.error();
-        if (T != 0x0b)
-          return fail(Category::Malformed, Pos, "unexpected else in block");
-        I.Body = std::move(*Body);
-        break;
-      }
+      case Op::Loop:
       case Op::If: {
-        Expected<FuncType> BT = blockType();
-        if (!BT)
-          return BT.error();
-        I.BT = std::move(*BT);
-        uint8_t T = 0;
-        Expected<std::vector<WInst>> Then = parseUntil(T, Depth + 1);
-        if (!Then)
-          return Then.error();
-        I.Body = std::move(*Then);
-        if (T == 0x05) {
-          Expected<std::vector<WInst>> Else = parseUntil(T, Depth + 1);
-          if (!Else)
-            return Else.error();
-          if (T != 0x0b)
-            return fail(Category::Malformed, Pos, "unterminated else");
-          I.Else = std::move(*Else);
-        }
+        Expected<uint32_t> Code = blockTypeCode();
+        if (!Code)
+          return Code.error();
+        if (Open.size() + 1 > L.MaxNestingDepth)
+          return fail(Category::LimitExceeded, Pos,
+                      "block nesting exceeds depth limit of " +
+                          std::to_string(L.MaxNestingDepth));
+        Expected<uint32_t> Slot = blockSlot(F, *Code);
+        if (!Slot)
+          return Slot.error();
+        I.U32 = *Slot;
+        Open.push_back(K == Op::If ? Then : Plain);
         break;
       }
       case Op::Br:
@@ -1102,18 +1124,20 @@ private:
           return N.error();
         if (Status S = charge(uint64_t(*N) * sizeof(uint32_t), "br_table");
             !S)
-          return S.error();
-        I.Table.reserve(*N);
+          return S;
+        uint64_t First = F.BrTargets.size();
+        F.BrTargets.reserve(First + *N);
         for (uint32_t J = 0; J < *N; ++J) {
           Expected<uint32_t> T = u32("br_table target");
           if (!T)
             return T.error();
-          I.Table.push_back(*T);
+          F.BrTargets.push_back(*T);
         }
         Expected<uint32_t> D = u32("br_table default");
         if (!D)
           return D.error();
         I.U32 = *D;
+        I.U64 = First | (uint64_t(*N) << 32);
         break;
       }
       case Op::I32Const: {
@@ -1173,25 +1197,27 @@ private:
           Expected<uint32_t> O = u32("memarg offset");
           if (!O)
             return O.error();
-          I.Align = *A;
-          I.Offset = *O;
+          I = WInst::mem(K, *A, *O);
         }
         break;
       }
       }
-      Out.push_back(std::move(I));
+      F.Body.push_back(I);
     }
+    for (uint32_t Code : UsedCodes)
+      SlotOf[Code] = 0;
+    UsedCodes.clear();
+    return Status::success();
   }
 
-  Expected<std::vector<WInst>> expr() {
-    uint8_t T = 0;
-    Expected<std::vector<WInst>> Body = parseUntil(T, 0);
-    if (!Body)
-      return Body;
-    if (T != 0x0b)
-      return fail(Category::Malformed, Pos,
-                  "expression not terminated by end");
-    return Body;
+  /// A constant expression (global initializer, segment offset): parsed
+  /// like a body, kept without side tables (validation admits only a
+  /// single constant instruction there).
+  Expected<std::vector<WInst>> constExpr() {
+    WFunc Scratch;
+    if (Status S = expr(Scratch); !S)
+      return S.error();
+    return std::move(Scratch.Body);
   }
 
   const std::vector<uint8_t> &B;
@@ -1206,6 +1232,8 @@ private:
   WModule M;
   std::vector<uint32_t> TypeIdxs;
   std::vector<uint32_t> Elems;
+  /// Block-type interning memo (see blockSlot) and the codes it holds.
+  std::vector<uint32_t> SlotOf, UsedCodes;
 };
 
 } // namespace
@@ -1232,27 +1260,31 @@ namespace {
 
 const char *opName(Op K);
 
-void printInsts(std::ostringstream &OS, const std::vector<WInst> &Body,
-                unsigned Indent) {
-  std::string Pad(Indent * 2, ' ');
-  for (const WInst &I : Body) {
+void printBody(std::ostringstream &OS, const WFunc &F) {
+  unsigned Indent = 2;
+  auto Pad = [&] { return std::string(Indent * 2, ' '); };
+  for (const WInst &I : F.Body) {
     switch (I.K) {
     case Op::Block:
     case Op::Loop:
     case Op::If:
-      OS << Pad << opName(I.K) << "\n";
-      printInsts(OS, I.Body, Indent + 1);
-      if (I.K == Op::If && !I.Else.empty()) {
-        OS << Pad << "else\n";
-        printInsts(OS, I.Else, Indent + 1);
-      }
-      OS << Pad << "end\n";
+      OS << Pad() << opName(I.K) << "\n";
+      ++Indent;
+      break;
+    case Op::Else:
+      --Indent;
+      OS << Pad() << "else\n";
+      ++Indent;
+      break;
+    case Op::End:
+      --Indent;
+      OS << Pad() << "end\n";
       break;
     case Op::I32Const:
-      OS << Pad << "i32.const " << static_cast<int32_t>(I.U64) << "\n";
+      OS << Pad() << "i32.const " << static_cast<int32_t>(I.U64) << "\n";
       break;
     case Op::I64Const:
-      OS << Pad << "i64.const " << static_cast<int64_t>(I.U64) << "\n";
+      OS << Pad() << "i64.const " << static_cast<int64_t>(I.U64) << "\n";
       break;
     case Op::Br:
     case Op::BrIf:
@@ -1263,11 +1295,11 @@ void printInsts(std::ostringstream &OS, const std::vector<WInst> &Body,
     case Op::LocalTee:
     case Op::GlobalGet:
     case Op::GlobalSet:
-      OS << Pad << opName(I.K) << " " << I.U32 << "\n";
+      OS << Pad() << opName(I.K) << " " << I.U32 << "\n";
       break;
     case Op::BrTable: {
-      OS << Pad << "br_table";
-      for (uint32_t T : I.Table)
+      OS << Pad() << "br_table";
+      for (uint32_t T : F.brTargets(I))
         OS << " " << T;
       OS << " " << I.U32 << "\n";
       break;
@@ -1275,9 +1307,9 @@ void printInsts(std::ostringstream &OS, const std::vector<WInst> &Body,
     default: {
       uint8_t C = static_cast<uint8_t>(I.K);
       if (C >= 0x28 && C <= 0x3e)
-        OS << Pad << opName(I.K) << " offset=" << I.Offset << "\n";
+        OS << Pad() << opName(I.K) << " offset=" << I.offset() << "\n";
       else
-        OS << Pad << opName(I.K) << "\n";
+        OS << Pad() << opName(I.K) << "\n";
       break;
     }
     }
@@ -1296,6 +1328,10 @@ const char *opName(Op K) {
     return "loop";
   case Op::If:
     return "if";
+  case Op::Else:
+    return "else";
+  case Op::End:
+    return "end";
   case Op::Br:
     return "br";
   case Op::BrIf:
@@ -1373,7 +1409,7 @@ std::string rw::wasm::printWat(const WModule &M) {
     for (ValType T : FT.Results)
       OS << " " << valTypeName(T);
     OS << ")\n";
-    printInsts(OS, F.Body, 2);
+    printBody(OS, F);
     OS << "  )\n";
   }
   for (const WExport &E : M.Exports)

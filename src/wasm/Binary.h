@@ -21,13 +21,12 @@
 namespace rw::wasm {
 
 /// Serializes \p M to the binary format. Multi-value block types are
-/// emitted as type-section references, so \p M is taken by value and its
-/// type section may be extended internally.
-std::vector<uint8_t> encode(WModule M);
+/// emitted as references to type-section entries appended after M.Types.
+std::vector<uint8_t> encode(const WModule &M);
 
 /// Parses a binary module under the default ingest::Limits policy. Total
 /// on arbitrary bytes: every read is bounds-checked, counts are validated
-/// against remaining input before allocation, and recursion is
+/// against remaining input before allocation, and structured nesting is
 /// depth-capped (DESIGN.md §12).
 Expected<WModule> decode(const std::vector<uint8_t> &Bytes);
 

@@ -8,8 +8,9 @@
 /// The engine-independent embedder (host) API for instantiated Wasm
 /// modules (DESIGN.md §5). Two execution engines implement it:
 ///
-///   * EngineKind::Tree — wasm::WasmInstance (wasm/Interp.h), a direct
-///     tree-walking interpreter over the structured WInst AST;
+///   * EngineKind::Tree — wasm::WasmInstance (wasm/Interp.h), which
+///     interprets the flat WInst stream with structured block/loop/if
+///     control (the differential oracle);
 ///   * EngineKind::Flat — exec::FlatInstance (exec/Engine.h), which
 ///     translates the module once into a flat pre-resolved bytecode and
 ///     runs it with a tight dispatch loop.

@@ -8,6 +8,7 @@
 
 #include "support/NumericOps.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -79,7 +80,8 @@ WasmInstance::Exec WasmInstance::callFunctionImpl(uint32_t FuncIdx) {
     return Exec::Normal;
   }
 
-  const WFunc &F = M->Funcs[FuncIdx - M->ImportFuncs.size()];
+  uint32_t DefIdx = FuncIdx - static_cast<uint32_t>(M->ImportFuncs.size());
+  const WFunc &F = M->Funcs[DefIdx];
   Frame Fr;
   if (Stack.size() < FT.Params.size()) {
     --CallDepth;
@@ -94,13 +96,10 @@ WasmInstance::Exec WasmInstance::callFunctionImpl(uint32_t FuncIdx) {
   if (ProfileOn)
     ++Prof[FuncIdx].Invocations;
 
-  uint32_t BrDepth = 0;
-  Exec R = execSeq(F.Body, Fr, BrDepth);
+  Exec R = execBody(F, DefIdx, Fr);
   --CallDepth;
   if (R == Exec::Trap)
     return R;
-  if (R == Exec::Branch)
-    return trap("branch escaped function body");
   // Keep exactly the results above the caller's stack base.
   if (Stack.size() < Base + FT.Results.size())
     return trap("function body left too few results");
@@ -111,115 +110,164 @@ WasmInstance::Exec WasmInstance::callFunctionImpl(uint32_t FuncIdx) {
   return Exec::Normal;
 }
 
-WasmInstance::Exec WasmInstance::execSeq(const std::vector<WInst> &Body,
-                                         Frame &F, uint32_t &BrDepth) {
-  for (const WInst &I : Body) {
-    if (Fuel == 0)
-      return trap("fuel exhausted");
-    --Fuel;
-    ++Executed;
-    Exec R = execInst(I, F, BrDepth);
-    if (R != Exec::Normal)
-      return R;
+Status WasmInstance::prepare() {
+  Match.assign(M->Funcs.size(), {});
+  std::vector<uint32_t> Open;
+  for (size_t FI = 0; FI < M->Funcs.size(); ++FI) {
+    const std::vector<WInst> &Body = M->Funcs[FI].Body;
+    std::vector<uint32_t> &Mt = Match[FI];
+    Mt.assign(Body.size(), 0);
+    Open.clear();
+    for (uint32_t Pc = 0; Pc < Body.size(); ++Pc) {
+      Op K = Body[Pc].K;
+      if (opensFrame(K)) {
+        Open.push_back(Pc);
+      } else if (K == Op::Else || K == Op::End) {
+        if (Open.empty() ||
+            (K == Op::Else && Body[Open.back()].K != Op::If))
+          return Error("unbalanced structured control in function " +
+                       std::to_string(FI + M->ImportFuncs.size()));
+        Mt[Open.back()] = Pc;
+        if (K == Op::Else)
+          Open.back() = Pc;
+        else
+          Open.pop_back();
+      }
+    }
+    if (!Open.empty())
+      return Error("unterminated block in function " +
+                   std::to_string(FI + M->ImportFuncs.size()));
   }
-  return Exec::Normal;
+  return Status::success();
 }
 
-WasmInstance::Exec WasmInstance::execInst(const WInst &I, Frame &F,
-                                          uint32_t &BrDepth) {
-  switch (I.K) {
-  case Op::Unreachable:
-    return trap("unreachable executed");
-  case Op::Nop:
-    return Exec::Normal;
-
-  case Op::Block: {
-    size_t Base = Stack.size() - I.BT.Params.size();
-    Exec R = execSeq(I.Body, F, BrDepth);
-    if (R == Exec::Branch) {
-      if (BrDepth > 0) {
-        --BrDepth;
-        return Exec::Branch;
-      }
-      // Branch to this block: keep the top |results| values above Base.
-      std::vector<WValue> Keep(Stack.end() - I.BT.Results.size(),
-                               Stack.end());
-      Stack.resize(Base);
-      for (const WValue &V : Keep)
-        Stack.push_back(V);
-      return Exec::Normal;
-    }
-    return R;
-  }
-  case Op::Loop: {
-    for (;;) {
+WasmInstance::Exec WasmInstance::execBody(const WFunc &Fn, uint32_t DefIdx,
+                                          Frame &F) {
+  const std::vector<WInst> &Code = Fn.Body;
+  const std::vector<uint32_t> &Mt = Match[DefIdx];
+  const size_t LabelBase = Labels.size();
+  Exec R = Exec::Normal;
+  // Branch to relative depth D: keep the label's arity values above its
+  // base, then continue after the target's End (or at a loop's head).
+  auto branch = [&](uint32_t D, uint32_t &Pc) {
+    if (D >= Labels.size() - LabelBase)
+      return trap("branch escaped function body");
+    size_t Li = Labels.size() - 1 - D;
+    Label L = Labels[Li];
+    std::copy(Stack.end() - L.Arity, Stack.end(), Stack.begin() + L.Base);
+    Stack.resize(L.Base + L.Arity);
+    if (L.IsLoop) {
       // Loop-header execution: counts the fall-in entry plus every
       // back-branch, matching the flat engine's FProfLoop at the branch
       // target.
       if (ProfileOn)
         ++Prof[F.FuncIdx].LoopHeads;
-      size_t Base = Stack.size() - I.BT.Params.size();
-      Exec R = execSeq(I.Body, F, BrDepth);
-      if (R == Exec::Branch) {
-        if (BrDepth > 0) {
-          --BrDepth;
-          return Exec::Branch;
-        }
-        // Branch to the loop: keep |params| values and iterate again.
-        std::vector<WValue> Keep(Stack.end() - I.BT.Params.size(),
-                                 Stack.end());
-        Stack.resize(Base);
-        for (const WValue &V : Keep)
-          Stack.push_back(V);
+      Labels.resize(Li + 1);
+      Pc = L.Pc;
+    } else {
+      Labels.resize(Li);
+      Pc = L.Pc + 1;
+    }
+    return Exec::Normal;
+  };
+  for (uint32_t Pc = 0; Pc < Code.size();) {
+    const WInst &I = Code[Pc];
+    if (I.K == Op::End) { // Fall out of a block, loop, or if arm.
+      Labels.pop_back();
+      ++Pc;
+      continue;
+    }
+    if (I.K == Op::Else) { // The then arm fell through: skip the else arm.
+      Pc = Mt[Pc];
+      continue;
+    }
+    if (Fuel == 0) {
+      R = trap("fuel exhausted");
+      break;
+    }
+    --Fuel;
+    ++Executed;
+    switch (I.K) {
+    case Op::Block:
+      Labels.push_back({Stack.size() - Fn.blockType(I).Params.size(),
+                        static_cast<uint32_t>(Fn.blockType(I).Results.size()),
+                        Mt[Pc], false});
+      ++Pc;
+      continue;
+    case Op::Loop:
+      if (ProfileOn)
+        ++Prof[F.FuncIdx].LoopHeads;
+      Labels.push_back({Stack.size() - Fn.blockType(I).Params.size(),
+                        static_cast<uint32_t>(Fn.blockType(I).Params.size()),
+                        Pc + 1, true});
+      ++Pc;
+      continue;
+    case Op::If: {
+      if (Stack.empty()) {
+        R = trap("if: stack underflow");
+        break;
+      }
+      uint32_t Cond = Stack.back().asU32();
+      Stack.pop_back();
+      bool HasElse = Code[Mt[Pc]].K == Op::Else;
+      uint32_t EndPc = HasElse ? Mt[Mt[Pc]] : Mt[Pc];
+      Labels.push_back({Stack.size() - Fn.blockType(I).Params.size(),
+                        static_cast<uint32_t>(Fn.blockType(I).Results.size()),
+                        EndPc, false});
+      // False: run the else arm, or go straight to the End (which pops
+      // the label) when there is none.
+      Pc = Cond ? Pc + 1 : (HasElse ? Mt[Pc] + 1 : EndPc);
+      continue;
+    }
+    case Op::Br:
+      R = branch(I.U32, Pc);
+      break;
+    case Op::BrIf: {
+      if (Stack.empty()) {
+        R = trap("br_if: stack underflow");
+        break;
+      }
+      uint32_t Cond = Stack.back().asU32();
+      Stack.pop_back();
+      if (!Cond) {
+        ++Pc;
         continue;
       }
-      return R;
+      R = branch(I.U32, Pc);
+      break;
     }
-  }
-  case Op::If: {
-    if (Stack.empty())
-      return trap("if: stack underflow");
-    uint32_t Cond = Stack.back().asU32();
-    Stack.pop_back();
-    size_t Base = Stack.size() - I.BT.Params.size();
-    Exec R = execSeq(Cond ? I.Body : I.Else, F, BrDepth);
-    if (R == Exec::Branch) {
-      if (BrDepth > 0) {
-        --BrDepth;
-        return Exec::Branch;
+    case Op::BrTable: {
+      if (Stack.empty()) {
+        R = trap("br_table: stack underflow");
+        break;
       }
-      std::vector<WValue> Keep(Stack.end() - I.BT.Results.size(),
-                               Stack.end());
-      Stack.resize(Base);
-      for (const WValue &V : Keep)
-        Stack.push_back(V);
-      return Exec::Normal;
+      uint32_t Idx = Stack.back().asU32();
+      Stack.pop_back();
+      std::span<const uint32_t> Ts = Fn.brTargets(I);
+      R = branch(Idx < Ts.size() ? Ts[Idx] : I.U32, Pc);
+      break;
     }
-    return R;
+    case Op::Return:
+      R = Exec::Ret;
+      break;
+    default:
+      R = execInst(I, F);
+      ++Pc;
+      break;
+    }
+    if (R != Exec::Normal)
+      break;
   }
-  case Op::Br:
-    BrDepth = I.U32;
-    return Exec::Branch;
-  case Op::BrIf: {
-    if (Stack.empty())
-      return trap("br_if: stack underflow");
-    uint32_t Cond = Stack.back().asU32();
-    Stack.pop_back();
-    if (!Cond)
-      return Exec::Normal;
-    BrDepth = I.U32;
-    return Exec::Branch;
-  }
-  case Op::BrTable: {
-    if (Stack.empty())
-      return trap("br_table: stack underflow");
-    uint32_t Idx = Stack.back().asU32();
-    Stack.pop_back();
-    BrDepth = Idx < I.Table.size() ? I.Table[Idx] : I.U32;
-    return Exec::Branch;
-  }
-  case Op::Return:
-    return Exec::Ret;
+  Labels.resize(LabelBase);
+  return R;
+}
+
+WasmInstance::Exec WasmInstance::execInst(const WInst &I, Frame &F) {
+  switch (I.K) {
+  case Op::Unreachable:
+    return trap("unreachable executed");
+  case Op::Nop:
+    return Exec::Normal;
   case Op::Call:
     return callFunction(I.U32);
   case Op::CallIndirect: {
@@ -322,7 +370,7 @@ WasmInstance::Exec WasmInstance::execMemory(const WInst &I) {
     StoreVal = Stack.back();
     Stack.pop_back();
   }
-  uint64_t Addr = Stack.back().asU32() + static_cast<uint64_t>(I.Offset);
+  uint64_t Addr = Stack.back().asU32() + static_cast<uint64_t>(I.offset());
   Stack.pop_back();
 
   auto InBounds = [&](unsigned N) { return Addr + N <= Mem.size(); };

@@ -5,8 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The tree-walking WebAssembly engine (EngineKind::Tree): a direct
-/// interpreter over the structured WInst AST. It implements the shared
+/// The structured WebAssembly engine (EngineKind::Tree): a direct
+/// interpreter of the flat instruction stream that executes block, loop
+/// and if as the spec's structured control, using a per-function table of
+/// matching Else/End positions it builds at instantiation. It shares no
+/// jump resolution with exec::translate, which keeps it an independent
+/// oracle for the flat and JIT engines. It implements the shared
 /// embedder surface in wasm/Instance.h — host functions satisfy imports,
 /// and the host can read/write the instance's flat memory, which is how
 /// the RichWasm runtime's host-assisted garbage collector works
@@ -30,7 +34,7 @@
 
 namespace rw::wasm {
 
-/// An instantiated Wasm module executed by walking the instruction tree.
+/// An instantiated Wasm module executed structurally.
 class WasmInstance : public Instance {
 public:
   explicit WasmInstance(const WModule &M) : Instance(M) {}
@@ -41,16 +45,29 @@ public:
 
   EngineKind engine() const override { return EngineKind::Tree; }
 
+protected:
+  /// Builds the match table (see Match).
+  Status prepare() override;
+
 private:
-  enum class Exec : uint8_t { Normal, Branch, Ret, Trap };
+  enum class Exec : uint8_t { Normal, Ret, Trap };
 
   struct Frame {
     std::vector<WValue> Locals;
     uint32_t FuncIdx = 0; ///< Function-space index, for profile bumps.
   };
 
-  Exec execSeq(const std::vector<WInst> &Body, Frame &F, uint32_t &BrDepth);
-  Exec execInst(const WInst &I, Frame &F, uint32_t &BrDepth);
+  /// An open structured op: the operand height below its values, what a
+  /// branch to it keeps, and where the branch continues.
+  struct Label {
+    size_t Base;
+    uint32_t Arity;
+    uint32_t Pc;  ///< Loops: first body op; blocks/ifs: the End.
+    bool IsLoop;
+  };
+
+  Exec execBody(const WFunc &Fn, uint32_t DefIdx, Frame &F);
+  Exec execInst(const WInst &I, Frame &F);
   Exec execNumeric(const WInst &I);
   Exec execMemory(const WInst &I);
   /// callFunctionImpl plus trap attribution: the innermost function that
@@ -62,6 +79,12 @@ private:
     return Exec::Trap;
   }
 
+  /// Per defined function, indexed by pc: for Block/Loop the pc of the
+  /// matching End; for If that of its Else, or of its End when it has
+  /// none; for Else that of the If's End.
+  std::vector<std::vector<uint32_t>> Match;
+  /// Open labels of every active call, innermost last.
+  std::vector<Label> Labels;
   std::vector<WValue> Stack;
   uint64_t Fuel = 0;
   std::string TrapMsg;

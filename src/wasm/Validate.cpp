@@ -148,226 +148,272 @@ OpSig rw::wasm::opSignature(Op K) {
 
 namespace {
 
-/// Per-function validation context, recursing over the structured tree.
+/// Per-function validation: the spec's algorithm, one linear pass over
+/// the flat stream with an operand stack and a control stack (one frame
+/// per open Block/Loop/If plus the function's own). Both stacks live
+/// across functions, so validating a body allocates nothing once warm.
+/// Code after an instruction that makes its frame unreachable (br,
+/// br_table, return, unreachable) is skipped up to the frame's Else/End,
+/// nested frames included: it never runs, so it is not type-checked.
 class FuncValidator {
 public:
-  FuncValidator(const WModule &M, std::vector<ValType> Locals,
-                std::vector<ValType> Results, uint32_t MaxOperandDepth)
-      : M(M), Locals(std::move(Locals)), Results(std::move(Results)),
-        MaxOperandDepth(MaxOperandDepth) {}
+  FuncValidator(const WModule &M, uint32_t MaxOperandDepth)
+      : M(M), MaxOperandDepth(MaxOperandDepth) {}
 
-  Status run(const std::vector<WInst> &Body) {
-    Labels.push_back(Results); // The implicit function label.
-    Status S = seq(Body, {}, Results);
-    Labels.pop_back();
-    return S;
+  Status run(const WFunc &F) {
+    const FuncType &FT = M.Types[F.TypeIdx];
+    Locals.assign(FT.Params.begin(), FT.Params.end());
+    Locals.insert(Locals.end(), F.Locals.begin(), F.Locals.end());
+    Results = FT.Results;
+    Vals.clear();
+    Ctl.clear();
+    Ctl.push_back({Op::Nop, nullptr, 0});
+    uint32_t Dead = 0; // Frames opened inside a skipped tail.
+    for (const WInst &I : F.Body) {
+      if (Ctl.back().Unreachable) {
+        if (opensFrame(I.K)) {
+          ++Dead;
+          continue;
+        }
+        if (Dead) {
+          Dead -= I.K == Op::End;
+          continue;
+        }
+        if (I.K != Op::Else && I.K != Op::End)
+          continue;
+      }
+      if (I.K == Op::Else) {
+        Frame &C = Ctl.back();
+        if (C.K != Op::If || C.SawElse)
+          return Error("else without a matching if");
+        if (Status S = endArm(C); !S)
+          return S;
+        Vals.resize(C.Height);
+        Vals.insert(Vals.end(), C.BT->Params.begin(), C.BT->Params.end());
+        C.Unreachable = false;
+        C.SawElse = true;
+        continue;
+      }
+      if (I.K == Op::End) {
+        if (Ctl.size() == 1)
+          return Error("end without a matching block");
+        Frame &C = Ctl.back();
+        if (Status S = endArm(C); !S)
+          return S;
+        if (C.K == Op::If && !C.SawElse) {
+          // The absent else arm passes its parameters straight through.
+          Vals.resize(C.Height);
+          Vals.insert(Vals.end(), C.BT->Params.begin(), C.BT->Params.end());
+          if (Status S = endArm(C); !S)
+            return S;
+        }
+        Vals.resize(C.Height);
+        Vals.insert(Vals.end(), C.BT->Results.begin(), C.BT->Results.end());
+        Ctl.pop_back();
+      } else if (Status S = inst(F, I); !S) {
+        return S;
+      }
+      // Checked after each instruction of a frame (a block counts once
+      // it has ended, in the frame that receives its results).
+      if (!opensFrame(I.K) &&
+          Vals.size() - Ctl.back().Height > MaxOperandDepth)
+        return Error("operand stack depth exceeds limit of " +
+                     std::to_string(MaxOperandDepth));
+    }
+    if (Ctl.size() != 1 || Dead)
+      return Error("unterminated block at end of function body");
+    return endArm(Ctl.back());
   }
 
 private:
-  struct Stack {
-    std::vector<ValType> Vals;
+  struct Frame {
+    Op K;               ///< Block/Loop/If; Nop for the function body.
+    const FuncType *BT; ///< Block type; null for the function body.
+    size_t Height;      ///< Operand-stack height below the frame.
     bool Unreachable = false;
+    bool SawElse = false;
   };
 
-  Status popExpect(Stack &St, ValType Want, const char *What) {
-    if (St.Vals.empty()) {
-      if (St.Unreachable)
-        return Status::success();
+  std::span<const ValType> results(const Frame &C) const {
+    return C.BT ? std::span<const ValType>(C.BT->Results) : Results;
+  }
+  /// What a branch to \p C carries: a loop's parameters, else its results.
+  std::span<const ValType> labelTypes(const Frame &C) const {
+    return C.K == Op::Loop ? std::span<const ValType>(C.BT->Params)
+                           : results(C);
+  }
+
+  /// Checks that the arm ending here leaves exactly its frame's results.
+  Status endArm(const Frame &C) {
+    if (C.Unreachable)
+      return Status::success();
+    std::span<const ValType> Out = results(C);
+    size_t N = Vals.size() - C.Height;
+    if (N != Out.size())
+      return Error("block leaves " + std::to_string(N) + " values, expected " +
+                   std::to_string(Out.size()));
+    for (size_t I = 0; I < Out.size(); ++I)
+      if (Vals[C.Height + I] != Out[I])
+        return Error("block result type mismatch");
+    return Status::success();
+  }
+
+  Status popExpect(ValType Want, const char *What) {
+    if (Vals.size() == Ctl.back().Height)
       return Error(std::string("stack underflow at ") + What);
-    }
-    ValType Got = St.Vals.back();
-    St.Vals.pop_back();
+    ValType Got = Vals.back();
+    Vals.pop_back();
     if (Got != Want)
       return Error(std::string("type mismatch at ") + What + ": expected " +
                    valTypeName(Want) + ", found " + valTypeName(Got));
     return Status::success();
   }
 
-  Status popMany(Stack &St, const std::vector<ValType> &Ts,
-                 const char *What) {
+  Status popMany(std::span<const ValType> Ts, const char *What) {
     for (size_t I = Ts.size(); I > 0; --I)
-      if (Status S = popExpect(St, Ts[I - 1], What); !S)
+      if (Status S = popExpect(Ts[I - 1], What); !S)
         return S;
     return Status::success();
   }
 
-  Status seq(const std::vector<WInst> &Body, std::vector<ValType> In,
-             const std::vector<ValType> &Out) {
-    Stack St;
-    St.Vals = std::move(In);
-    for (const WInst &I : Body) {
-      if (St.Unreachable && isStackPolymorphicBarrier(I.K)) {
-        // Keep scanning for structural validity but skip type checking of
-        // dead code (sound: never executed).
-        continue;
-      }
-      if (St.Unreachable)
-        continue;
-      if (Status S = inst(I, St); !S)
-        return S;
-      if (St.Vals.size() > MaxOperandDepth)
-        return Error("operand stack depth exceeds limit of " +
-                     std::to_string(MaxOperandDepth));
-    }
-    if (St.Unreachable)
-      return Status::success();
-    if (St.Vals.size() != Out.size())
-      return Error("block leaves " + std::to_string(St.Vals.size()) +
-                   " values, expected " + std::to_string(Out.size()));
-    for (size_t I = 0; I < Out.size(); ++I)
-      if (St.Vals[I] != Out[I])
-        return Error("block result type mismatch");
-    return Status::success();
+  void pushMany(std::span<const ValType> Ts) {
+    Vals.insert(Vals.end(), Ts.begin(), Ts.end());
   }
 
-  static bool isStackPolymorphicBarrier(Op K) {
-    return K == Op::Block || K == Op::Loop || K == Op::If;
+  /// The frame a branch of relative depth \p D targets, or null.
+  const Frame *label(uint32_t D) const {
+    return D < Ctl.size() ? &Ctl[Ctl.size() - 1 - D] : nullptr;
   }
 
-  Status brTarget(uint32_t D, Stack &St, const char *What) {
-    if (D >= Labels.size())
+  Status brTarget(uint32_t D, const char *What) {
+    const Frame *C = label(D);
+    if (!C)
       return Error(std::string(What) + ": label depth out of range");
-    const std::vector<ValType> &T = Labels[Labels.size() - 1 - D];
-    return popMany(St, T, What);
+    return popMany(labelTypes(*C), What);
   }
 
-  Status inst(const WInst &I, Stack &St) {
+  Status inst(const WFunc &F, const WInst &I) {
     switch (I.K) {
     case Op::Unreachable:
-      St.Unreachable = true;
+      Ctl.back().Unreachable = true;
       return Status::success();
     case Op::Nop:
       return Status::success();
     case Op::Block:
-    case Op::Loop: {
-      if (Status S = popMany(St, I.BT.Params, "block"); !S)
-        return S;
-      Labels.push_back(I.K == Op::Loop ? I.BT.Params : I.BT.Results);
-      Status S = seq(I.Body, I.BT.Params, I.BT.Results);
-      Labels.pop_back();
-      if (!S)
-        return S;
-      for (ValType T : I.BT.Results)
-        St.Vals.push_back(T);
-      return Status::success();
-    }
+    case Op::Loop:
     case Op::If: {
-      if (Status S = popExpect(St, I32, "if"); !S)
+      if (I.U32 >= F.BlockTypes.size())
+        return Error("block type index out of range");
+      const FuncType &BT = F.blockType(I);
+      if (I.K == Op::If)
+        if (Status S = popExpect(I32, "if"); !S)
+          return S;
+      if (Status S = popMany(BT.Params, I.K == Op::If ? "if" : "block"); !S)
         return S;
-      if (Status S = popMany(St, I.BT.Params, "if"); !S)
-        return S;
-      Labels.push_back(I.BT.Results);
-      Status S1 = seq(I.Body, I.BT.Params, I.BT.Results);
-      Status S2 = seq(I.Else, I.BT.Params, I.BT.Results);
-      Labels.pop_back();
-      if (!S1)
-        return S1;
-      if (!S2)
-        return S2;
-      for (ValType T : I.BT.Results)
-        St.Vals.push_back(T);
+      Ctl.push_back({I.K, &BT, Vals.size()});
+      pushMany(BT.Params);
       return Status::success();
     }
     case Op::Br: {
-      if (Status S = brTarget(I.U32, St, "br"); !S)
+      if (Status S = brTarget(I.U32, "br"); !S)
         return S;
-      St.Unreachable = true;
+      Ctl.back().Unreachable = true;
       return Status::success();
     }
     case Op::BrIf: {
-      if (Status S = popExpect(St, I32, "br_if"); !S)
+      if (Status S = popExpect(I32, "br_if"); !S)
         return S;
-      if (I.U32 >= Labels.size())
+      const Frame *C = label(I.U32);
+      if (!C)
         return Error("br_if: label depth out of range");
-      const std::vector<ValType> &T = Labels[Labels.size() - 1 - I.U32];
-      if (Status S = popMany(St, T, "br_if"); !S)
+      std::span<const ValType> T = labelTypes(*C);
+      if (Status S = popMany(T, "br_if"); !S)
         return S;
-      for (ValType V : T)
-        St.Vals.push_back(V);
+      pushMany(T);
       return Status::success();
     }
     case Op::BrTable: {
-      if (Status S = popExpect(St, I32, "br_table"); !S)
+      if (Status S = popExpect(I32, "br_table"); !S)
         return S;
-      if (Status S = brTarget(I.U32, St, "br_table"); !S)
+      if (Status S = brTarget(I.U32, "br_table"); !S)
         return S;
-      for (uint32_t D : I.Table)
-        if (D >= Labels.size())
+      if (static_cast<uint32_t>(I.U64) + (I.U64 >> 32) > F.BrTargets.size())
+        return Error("br_table: target list out of range");
+      for (uint32_t D : F.brTargets(I))
+        if (!label(D))
           return Error("br_table: label depth out of range");
-      St.Unreachable = true;
+      Ctl.back().Unreachable = true;
       return Status::success();
     }
     case Op::Return: {
-      if (Status S = popMany(St, Results, "return"); !S)
+      if (Status S = popMany(Results, "return"); !S)
         return S;
-      St.Unreachable = true;
+      Ctl.back().Unreachable = true;
       return Status::success();
     }
     case Op::Call: {
       if (I.U32 >= M.numFuncs())
         return Error("call: function index out of range");
       const FuncType &FT = M.funcType(I.U32);
-      if (Status S = popMany(St, FT.Params, "call"); !S)
+      if (Status S = popMany(FT.Params, "call"); !S)
         return S;
-      for (ValType T : FT.Results)
-        St.Vals.push_back(T);
+      pushMany(FT.Results);
       return Status::success();
     }
     case Op::CallIndirect: {
       if (I.U32 >= M.Types.size())
         return Error("call_indirect: type index out of range");
-      if (Status S = popExpect(St, I32, "call_indirect"); !S)
+      if (Status S = popExpect(I32, "call_indirect"); !S)
         return S;
       const FuncType &FT = M.Types[I.U32];
-      if (Status S = popMany(St, FT.Params, "call_indirect"); !S)
+      if (Status S = popMany(FT.Params, "call_indirect"); !S)
         return S;
-      for (ValType T : FT.Results)
-        St.Vals.push_back(T);
+      pushMany(FT.Results);
       return Status::success();
     }
     case Op::Drop: {
-      if (St.Vals.empty())
+      if (Vals.size() == Ctl.back().Height)
         return Error("drop: stack underflow");
-      St.Vals.pop_back();
+      Vals.pop_back();
       return Status::success();
     }
     case Op::Select: {
-      if (Status S = popExpect(St, I32, "select"); !S)
+      if (Status S = popExpect(I32, "select"); !S)
         return S;
-      if (St.Vals.size() < 2)
+      if (Vals.size() - Ctl.back().Height < 2)
         return Error("select: stack underflow");
-      ValType A = St.Vals.back();
-      St.Vals.pop_back();
-      ValType B = St.Vals.back();
-      St.Vals.pop_back();
+      ValType A = Vals.back();
+      Vals.pop_back();
+      ValType B = Vals.back();
+      Vals.pop_back();
       if (A != B)
         return Error("select: operand types disagree");
-      St.Vals.push_back(A);
+      Vals.push_back(A);
       return Status::success();
     }
     case Op::LocalGet: {
       if (I.U32 >= Locals.size())
         return Error("local.get: index out of range");
-      St.Vals.push_back(Locals[I.U32]);
+      Vals.push_back(Locals[I.U32]);
       return Status::success();
     }
     case Op::LocalSet: {
       if (I.U32 >= Locals.size())
         return Error("local.set: index out of range");
-      return popExpect(St, Locals[I.U32], "local.set");
+      return popExpect(Locals[I.U32], "local.set");
     }
     case Op::LocalTee: {
       if (I.U32 >= Locals.size())
         return Error("local.tee: index out of range");
-      if (Status S = popExpect(St, Locals[I.U32], "local.tee"); !S)
+      if (Status S = popExpect(Locals[I.U32], "local.tee"); !S)
         return S;
-      St.Vals.push_back(Locals[I.U32]);
+      Vals.push_back(Locals[I.U32]);
       return Status::success();
     }
     case Op::GlobalGet: {
       if (I.U32 >= M.Globals.size())
         return Error("global.get: index out of range");
-      St.Vals.push_back(M.Globals[I.U32].T);
+      Vals.push_back(M.Globals[I.U32].T);
       return Status::success();
     }
     case Op::GlobalSet: {
@@ -375,7 +421,7 @@ private:
         return Error("global.set: index out of range");
       if (!M.Globals[I.U32].Mut)
         return Error("global.set of immutable global");
-      return popExpect(St, M.Globals[I.U32].T, "global.set");
+      return popExpect(M.Globals[I.U32].T, "global.set");
     }
     default: {
       // Memory access requires a memory.
@@ -383,20 +429,20 @@ private:
       if (C >= 0x28 && C <= 0x40 && !M.Memory)
         return Error("memory instruction without a memory");
       OpSig Sig = opSignature(I.K);
-      if (Status S = popMany(St, Sig.In, "operator"); !S)
+      if (Status S = popMany(Sig.in(), "operator"); !S)
         return S;
-      for (ValType T : Sig.Out)
-        St.Vals.push_back(T);
+      pushMany(Sig.out());
       return Status::success();
     }
     }
   }
 
   const WModule &M;
-  std::vector<ValType> Locals;
-  std::vector<ValType> Results;
-  std::vector<std::vector<ValType>> Labels;
   uint32_t MaxOperandDepth;
+  std::vector<ValType> Locals;
+  std::span<const ValType> Results;
+  std::vector<ValType> Vals;
+  std::vector<Frame> Ctl;
 };
 
 /// Validates one global initializer: exactly one constant instruction —
@@ -405,7 +451,15 @@ private:
 /// so anything else would be silently misinitialized.
 Status validateGlobalInit(const WModule &M, size_t GI) {
   const WGlobal &G = M.Globals[GI];
-  if (G.Init.size() != 1)
+  // Count top-level instructions: a structured op with its nested code
+  // is one instruction (and then a non-constant one).
+  size_t TopLevel = 0, Depth = 0;
+  for (const WInst &I : G.Init) {
+    TopLevel += Depth == 0 && I.K != Op::End && I.K != Op::Else;
+    Depth += opensFrame(I.K);
+    Depth -= I.K == Op::End && Depth > 0;
+  }
+  if (TopLevel != 1)
     return Error("global " + std::to_string(GI) +
                  ": initializer must be a single constant instruction");
   const WInst &I = G.Init[0];
@@ -481,15 +535,12 @@ Status rw::wasm::validate(const WModule &M, uint32_t MaxOperandDepth) {
     if (Status S = validateGlobalInit(M, GI); !S)
       return S;
 
+  FuncValidator V(M, MaxOperandDepth);
   for (size_t FI = 0; FI < M.Funcs.size(); ++FI) {
     const WFunc &F = M.Funcs[FI];
     if (F.TypeIdx >= M.Types.size())
       return Error("function type index out of range");
-    const FuncType &FT = M.Types[F.TypeIdx];
-    std::vector<ValType> Locals = FT.Params;
-    Locals.insert(Locals.end(), F.Locals.begin(), F.Locals.end());
-    FuncValidator V(M, std::move(Locals), FT.Results, MaxOperandDepth);
-    if (Status S = V.run(F.Body); !S)
+    if (Status S = V.run(F); !S)
       return Error("in function " +
                    std::to_string(FI + M.ImportFuncs.size()) + ": " +
                    S.error().message());

@@ -18,6 +18,10 @@
 #include "support/Error.h"
 #include "wasm/WasmAst.h"
 
+#include <algorithm>
+#include <initializer_list>
+#include <span>
+
 namespace rw::wasm {
 
 /// Validates a whole module. Returns the first error found.
@@ -29,9 +33,20 @@ Status validate(const WModule &M);
 Status validate(const WModule &M, uint32_t MaxOperandDepth);
 
 /// The stack signature of a non-structured opcode: operand types (bottom
-/// first) and result types. Used by the validator and tests.
+/// first) and result types. Fixed-size, so the validator's per-op lookup
+/// allocates nothing. Used by the validator and tests.
 struct OpSig {
-  std::vector<ValType> In, Out;
+  ValType In[2] = {}, Out[1] = {};
+  uint8_t NIn = 0, NOut = 0;
+
+  OpSig(std::initializer_list<ValType> I, std::initializer_list<ValType> O)
+      : NIn(static_cast<uint8_t>(I.size())),
+        NOut(static_cast<uint8_t>(O.size())) {
+    std::copy(I.begin(), I.end(), In);
+    std::copy(O.begin(), O.end(), Out);
+  }
+  std::span<const ValType> in() const { return {In, NIn}; }
+  std::span<const ValType> out() const { return {Out, NOut}; }
 };
 OpSig opSignature(Op K);
 

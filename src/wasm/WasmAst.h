@@ -5,10 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The WebAssembly substrate RichWasm compiles to (§6): an AST for Wasm 1.0
-/// with the multi-value extension, shared by the validator, interpreter,
-/// binary encoder/decoder, and text printer. Opcode enumerators carry their
-/// binary encodings so the codec is table-free.
+/// The WebAssembly substrate RichWasm compiles to (§6): Wasm 1.0 with the
+/// multi-value extension, shared by lowering, the validator, both
+/// interpreters' front ends, the binary encoder/decoder, and the text
+/// printer. Code is one flat instruction stream per function in binary
+/// order (DESIGN.md §5); opcode enumerators carry their binary encodings
+/// so the codec is table-free.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +55,8 @@ enum class Op : uint8_t {
   Block = 0x02,
   Loop = 0x03,
   If = 0x04,
+  Else = 0x05,
+  End = 0x0b,
   Br = 0x0c,
   BrIf = 0x0d,
   BrTable = 0x0e,
@@ -219,69 +224,46 @@ enum class Op : uint8_t {
   F64ReinterpretI64 = 0xbf,
 };
 
-/// One instruction. Structured instructions (block/loop/if) carry nested
-/// bodies; the codec linearizes them with end/else markers.
+/// One instruction of a flat code stream: a 16-byte POD. Structured
+/// control is explicit and in binary order — Block/Loop/If open a frame,
+/// Else splits an If's arms (present only when the else arm is non-empty),
+/// End closes the innermost frame; a body's own final `end` is implicit.
+/// Immediates that do not fit live in the owning WFunc's side tables.
+///
+///   U32  index immediate (local/global/func/type/label), br_table default
+///        label, memarg offset, or — Block/Loop/If — a WFunc::BlockTypes
+///        index.
+///   U64  constant bits, memarg alignment exponent, or — br_table — the
+///        target list in WFunc::BrTargets (offset low 32, length high 32).
 struct WInst {
   Op K = Op::Nop;
-  uint32_t U32 = 0;    ///< Index immediate (local/global/func/type/label).
-  uint64_t U64 = 0;    ///< Constant bits.
-  uint32_t Align = 0;  ///< Memarg alignment exponent.
-  uint32_t Offset = 0; ///< Memarg offset.
-  FuncType BT;         ///< Block type (multi-value allowed).
-  std::vector<uint32_t> Table; ///< br_table targets.
-  std::vector<WInst> Body, Else;
+  uint32_t U32 = 0;
+  uint64_t U64 = 0;
 
   WInst() = default;
-  explicit WInst(Op K) : K(K) {}
+  explicit WInst(Op K, uint32_t U32 = 0, uint64_t U64 = 0)
+      : K(K), U32(U32), U64(U64) {}
   static WInst mk(Op K) { return WInst(K); }
-  static WInst idx(Op K, uint32_t I) {
-    WInst W(K);
-    W.U32 = I;
-    return W;
-  }
+  static WInst idx(Op K, uint32_t I) { return WInst(K, I); }
   static WInst i32c(int32_t V) {
-    WInst W(Op::I32Const);
-    W.U64 = static_cast<uint32_t>(V);
-    return W;
+    return WInst(Op::I32Const, 0, static_cast<uint32_t>(V));
   }
   static WInst i64c(int64_t V) {
-    WInst W(Op::I64Const);
-    W.U64 = static_cast<uint64_t>(V);
-    return W;
+    return WInst(Op::I64Const, 0, static_cast<uint64_t>(V));
   }
   static WInst mem(Op K, uint32_t Align, uint32_t Offset) {
-    WInst W(K);
-    W.Align = Align;
-    W.Offset = Offset;
-    return W;
+    return WInst(K, Offset, Align);
   }
-  static WInst block(FuncType BT, std::vector<WInst> Body) {
-    WInst W(Op::Block);
-    W.BT = std::move(BT);
-    W.Body = std::move(Body);
-    return W;
-  }
-  static WInst loop(FuncType BT, std::vector<WInst> Body) {
-    WInst W(Op::Loop);
-    W.BT = std::move(BT);
-    W.Body = std::move(Body);
-    return W;
-  }
-  static WInst ifElse(FuncType BT, std::vector<WInst> Then,
-                      std::vector<WInst> Else) {
-    WInst W(Op::If);
-    W.BT = std::move(BT);
-    W.Body = std::move(Then);
-    W.Else = std::move(Else);
-    return W;
-  }
-  static WInst brTable(std::vector<uint32_t> Targets, uint32_t Default) {
-    WInst W(Op::BrTable);
-    W.Table = std::move(Targets);
-    W.U32 = Default;
-    return W;
-  }
+
+  uint32_t offset() const { return U32; } ///< Memarg offset.
+  uint32_t align() const { return static_cast<uint32_t>(U64); }
 };
+static_assert(sizeof(WInst) == 16, "WInst is a 16-byte flat-stream slot");
+
+/// True for the ops that open a frame closed by a matching End.
+inline bool opensFrame(Op K) {
+  return K == Op::Block || K == Op::Loop || K == Op::If;
+}
 
 enum class ExportKind : uint8_t { Func = 0, Table = 1, Memory = 2, Global = 3 };
 
@@ -290,12 +272,50 @@ struct WImportFunc {
   uint32_t TypeIdx = 0;
 };
 
+/// A defined function: its flat body plus the side tables the body's
+/// structured ops and br_tables index.
 struct WFunc {
   uint32_t TypeIdx = 0;
   std::vector<ValType> Locals; ///< Beyond the parameters.
-  std::vector<WInst> Body;
+  std::vector<WInst> Body;     ///< Flat, binary order, no final `end`.
+  std::vector<FuncType> BlockTypes; ///< Distinct block types of Body.
+  std::vector<uint32_t> BrTargets;  ///< Concatenated br_table targets.
+
+  const FuncType &blockType(const WInst &I) const { return BlockTypes[I.U32]; }
+  std::span<const uint32_t> brTargets(const WInst &I) const {
+    return {BrTargets.data() + static_cast<uint32_t>(I.U64),
+            static_cast<size_t>(I.U64 >> 32)};
+  }
+
+  /// Appends a Block/Loop/If opener of block type [Params] -> [Results],
+  /// interned in BlockTypes.
+  void open(Op K, const std::vector<ValType> &Params = {},
+            const std::vector<ValType> &Results = {}) {
+    uint32_t Idx = 0;
+    while (Idx < BlockTypes.size() && !(BlockTypes[Idx].Params == Params &&
+                                        BlockTypes[Idx].Results == Results))
+      ++Idx;
+    if (Idx == BlockTypes.size())
+      BlockTypes.push_back({Params, Results});
+    Body.push_back(WInst(K, Idx));
+  }
+  /// Closes the innermost frame; an Else with an empty arm is dropped so
+  /// that an If carries an Else exactly when its else arm has code.
+  void close() {
+    if (!Body.empty() && Body.back().K == Op::Else)
+      Body.pop_back();
+    Body.push_back(WInst(Op::End));
+  }
+  void brTable(std::span<const uint32_t> Targets, uint32_t Default) {
+    uint64_t Off = BrTargets.size();
+    BrTargets.insert(BrTargets.end(), Targets.begin(), Targets.end());
+    Body.push_back(WInst(Op::BrTable, Default,
+                         Off | (uint64_t(Targets.size()) << 32)));
+  }
 };
 
+/// A global. Its initializer is a flat constant expression without side
+/// tables: validation admits exactly one constant instruction.
 struct WGlobal {
   ValType T = ValType::I32;
   bool Mut = false;

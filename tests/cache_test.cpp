@@ -305,6 +305,32 @@ artifactOf(const ir::Module &M, cache::AdmissionCache &C) {
   return A ? A.take() : nullptr;
 }
 
+/// The heap bytes an artifact's vectors hold: every capacity, summed.
+uint64_t summedCapacities(const cache::LoweredArtifact &A) {
+  auto Cap = [](const auto &V) {
+    return uint64_t(V.capacity()) * sizeof(V[0]);
+  };
+  const wasm::WModule &M = A.Program.Module;
+  uint64_t B = Cap(M.Types) + Cap(M.ImportFuncs) + Cap(M.Funcs) +
+               Cap(M.TableElems) + Cap(M.Globals) + Cap(M.Exports) +
+               Cap(M.Data) + Cap(A.Program.RefGlobals) + Cap(A.Flat.Funcs) +
+               Cap(A.Flat.CanonType);
+  for (const wasm::FuncType &T : M.Types)
+    B += Cap(T.Params) + Cap(T.Results);
+  for (const wasm::WFunc &F : M.Funcs) {
+    B += Cap(F.Locals) + Cap(F.Body) + Cap(F.BlockTypes) + Cap(F.BrTargets);
+    for (const wasm::FuncType &T : F.BlockTypes)
+      B += Cap(T.Params) + Cap(T.Results);
+  }
+  for (const wasm::WGlobal &G : M.Globals)
+    B += Cap(G.Init);
+  for (const wasm::WData &D : M.Data)
+    B += Cap(D.Bytes);
+  for (const exec::FlatFunc &F : A.Flat.Funcs)
+    B += Cap(F.Code);
+  return B;
+}
+
 TEST(Cache, VerifiedEntryOwnsAndIsChargedItsArtifact) {
   ir::Module M1 = okModule(1), M2 = okModule(2);
   std::vector<uint8_t> B1 = serial::write(M1), B2 = serial::write(M2);
@@ -314,6 +340,8 @@ TEST(Cache, VerifiedEntryOwnsAndIsChargedItsArtifact) {
   C.storeVerified(B1, {Art, 1, 0, 0});
   uint64_t Charge1 = C.stats().Bytes;
   EXPECT_EQ(Charge1, P.stats().Bytes + B1.size());
+  // The charge covers the heap the artifact really holds.
+  EXPECT_GE(P.stats().Bytes, summedCapacities(*Art));
 
   auto Hit = C.lookupVerified(B1);
   ASSERT_TRUE(Hit.has_value());

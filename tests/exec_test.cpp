@@ -24,6 +24,7 @@
 #include "wasm/Interp.h"
 #include "support/NumericOps.h"
 #include "wasm/Validate.h"
+#include "tests/WasmTree.h"
 
 #include <gtest/gtest.h>
 
@@ -31,6 +32,8 @@
 
 using namespace rw;
 using namespace rw::wasm;
+using rw::wasmtest::TInst;
+using rw::wasmtest::func;
 
 namespace {
 
@@ -97,10 +100,10 @@ expectSame(const WModule &M, const std::string &Export,
 }
 
 WModule oneFunc(FuncType FT, std::vector<ValType> Locals,
-                std::vector<WInst> Body) {
+                std::vector<TInst> Body) {
   WModule M;
   uint32_t TI = M.addType(std::move(FT));
-  M.Funcs.push_back({TI, std::move(Locals), std::move(Body)});
+  M.Funcs.push_back(func(TI, std::move(Locals), Body));
   M.Exports.push_back({"f", ExportKind::Func, 0});
   return M;
 }
@@ -115,7 +118,7 @@ TEST(ExecDiff, BlockWithResultAndBr) {
   // block (result i32) { 7; br 0; 999 } + 1 — the br carries one value.
   WModule M = oneFunc(
       {{}, {ValType::I32}}, {},
-      {WInst::block({{}, {ValType::I32}},
+      {TInst::block({{}, {ValType::I32}},
                     {WInst::i32c(7), WInst::idx(Op::Br, 0), WInst::i32c(999)}),
        WInst::i32c(1), WInst::mk(Op::I32Add)});
   auto [T, F] = expectSame(M, "f");
@@ -128,7 +131,7 @@ TEST(ExecDiff, BrWithStackFixup) {
   // engine's keep/reset fix-up path.
   WModule M = oneFunc(
       {{}, {ValType::I32}}, {},
-      {WInst::block({{}, {ValType::I32}},
+      {TInst::block({{}, {ValType::I32}},
                     {WInst::i32c(100), WInst::i32c(200), WInst::i32c(42),
                      WInst::idx(Op::Br, 0)}),
        });
@@ -141,9 +144,9 @@ TEST(ExecDiff, LoopSum) {
   // sum 1..n with a loop whose br_if re-enters the label.
   WModule M = oneFunc(
       {{ValType::I32}, {ValType::I32}}, {ValType::I32, ValType::I32},
-      {WInst::block(
+      {TInst::block(
            {{}, {}},
-           {WInst::loop(
+           {TInst::loop(
                {{}, {}},
                {WInst::idx(Op::LocalGet, 1), WInst::i32c(1),
                 WInst::mk(Op::I32Add), WInst::idx(Op::LocalTee, 1),
@@ -164,7 +167,7 @@ TEST(ExecDiff, LoopWithParams) {
   WModule M = oneFunc(
       {{}, {ValType::I32}}, {ValType::I32},
       {WInst::i32c(1),
-       WInst::loop({{ValType::I32}, {ValType::I32}},
+       TInst::loop({{ValType::I32}, {ValType::I32}},
                    {WInst::i32c(2), WInst::mk(Op::I32Mul),
                     WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
                     WInst::mk(Op::I32Add), WInst::idx(Op::LocalTee, 0),
@@ -181,7 +184,7 @@ TEST(ExecDiff, IfElseMultiValue) {
     WModule M = oneFunc(
         {{ValType::I32}, {ValType::I32}}, {},
         {WInst::idx(Op::LocalGet, 0),
-         WInst::ifElse({{}, {ValType::I32, ValType::I32}},
+         TInst::ifElse({{}, {ValType::I32, ValType::I32}},
                        {WInst::i32c(10), WInst::i32c(20)},
                        {WInst::i32c(1), WInst::i32c(2)}),
          WInst::mk(Op::I32Add)});
@@ -194,7 +197,7 @@ TEST(ExecDiff, IfElseMultiValue) {
 TEST(ExecDiff, IfWithoutElse) {
   WModule M = oneFunc({{ValType::I32}, {ValType::I32}}, {ValType::I32},
                       {WInst::idx(Op::LocalGet, 0),
-                       WInst::ifElse({{}, {}},
+                       TInst::ifElse({{}, {}},
                                      {WInst::i32c(99),
                                       WInst::idx(Op::LocalSet, 1)},
                                      {}),
@@ -212,15 +215,15 @@ TEST(ExecDiff, BrTableDispatch) {
   for (uint32_t Sel : {0u, 1u, 2u, 3u, 200u}) {
     WModule M = oneFunc(
         {{ValType::I32}, {ValType::I32}}, {ValType::I32},
-        {WInst::block(
+        {TInst::block(
              {{}, {}},
-             {WInst::block(
+             {TInst::block(
                   {{}, {}},
-                  {WInst::block(
+                  {TInst::block(
                        {{}, {}},
-                       {WInst::block({{}, {}},
+                       {TInst::block({{}, {}},
                                      {WInst::idx(Op::LocalGet, 0),
-                                      WInst::brTable({0, 1, 2}, 3)}),
+                                      TInst::brTable({0, 1, 2}, 3)}),
                         // depth-0 target: record 10, exit everything.
                         WInst::i32c(10), WInst::idx(Op::LocalSet, 1),
                         WInst::idx(Op::Br, 2)}),
@@ -242,10 +245,10 @@ TEST(ExecDiff, BrTableCarriesValue) {
   for (uint32_t Sel : {0u, 5u}) {
     WModule M = oneFunc(
         {{ValType::I32}, {ValType::I32}}, {},
-        {WInst::block({{}, {ValType::I32}},
+        {TInst::block({{}, {ValType::I32}},
                       {WInst::i32c(7), WInst::i32c(42),
                        WInst::idx(Op::LocalGet, 0),
-                       WInst::brTable({0}, 0)})});
+                       TInst::brTable({0}, 0)})});
     auto [T, F] = expectSame(M, "f", {WValue::i32(Sel)});
     EXPECT_TRUE(T.Ok);
     EXPECT_EQ(T.Results[0].asU32(), 42u) << "selector " << Sel;
@@ -256,10 +259,10 @@ TEST(ExecDiff, DeadCodeAfterBranchIsSkipped) {
   // The translator drops unreachable tails; semantics must not change.
   WModule M = oneFunc(
       {{}, {ValType::I32}}, {},
-      {WInst::block({{}, {ValType::I32}},
+      {TInst::block({{}, {ValType::I32}},
                     {WInst::i32c(5), WInst::idx(Op::Br, 0),
                      // Dead: a whole nested structure.
-                     WInst::block({{}, {}}, {WInst::mk(Op::Unreachable)}),
+                     TInst::block({{}, {}}, {WInst::mk(Op::Unreachable)}),
                      WInst::i32c(1), WInst::mk(Op::I32Add)})});
   auto [T, F] = expectSame(M, "f");
   EXPECT_TRUE(T.Ok);
@@ -274,16 +277,15 @@ TEST(ExecDiff, DirectCallsAndRecursion) {
   // fib(n) by naive double recursion across a direct call.
   WModule M;
   uint32_t TI = M.addType({{ValType::I32}, {ValType::I32}});
-  M.Funcs.push_back(
-      {TI,
+  M.Funcs.push_back(func(TI,
        {},
        {WInst::idx(Op::LocalGet, 0), WInst::i32c(2), WInst::mk(Op::I32LtS),
-        WInst::ifElse({{}, {ValType::I32}}, {WInst::idx(Op::LocalGet, 0)},
+        TInst::ifElse({{}, {ValType::I32}}, {WInst::idx(Op::LocalGet, 0)},
                       {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
                        WInst::mk(Op::I32Sub), WInst::idx(Op::Call, 0),
                        WInst::idx(Op::LocalGet, 0), WInst::i32c(2),
                        WInst::mk(Op::I32Sub), WInst::idx(Op::Call, 0),
-                       WInst::mk(Op::I32Add)})}});
+                       WInst::mk(Op::I32Add)})}));
   M.Exports.push_back({"f", ExportKind::Func, 0});
   auto [T, F] = expectSame(M, "f", {WValue::i32(15)});
   EXPECT_TRUE(T.Ok);
@@ -296,25 +298,24 @@ TEST(ExecDiff, CallIndirect) {
   WModule M;
   uint32_t Bin = M.addType({{ValType::I32, ValType::I32}, {ValType::I32}});
   uint32_t Un = M.addType({{ValType::I32}, {ValType::I32}});
-  M.Funcs.push_back({Bin,
+  M.Funcs.push_back(func(Bin,
                      {},
                      {WInst::idx(Op::LocalGet, 0), WInst::idx(Op::LocalGet, 1),
-                      WInst::mk(Op::I32Add)}});
-  M.Funcs.push_back({Bin,
+                      WInst::mk(Op::I32Add)}));
+  M.Funcs.push_back(func(Bin,
                      {},
                      {WInst::idx(Op::LocalGet, 0), WInst::idx(Op::LocalGet, 1),
-                      WInst::mk(Op::I32Mul)}});
-  M.Funcs.push_back(
-      {Un, {}, {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
-                WInst::mk(Op::I32Add)}});
+                      WInst::mk(Op::I32Mul)}));
+  M.Funcs.push_back(func(Un, {}, {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
+                WInst::mk(Op::I32Add)}));
   // f(sel, a, b) = table[sel](a, b) via the binary type.
-  std::vector<WInst> Body = {WInst::idx(Op::LocalGet, 1),
+  std::vector<TInst> Body = {WInst::idx(Op::LocalGet, 1),
                              WInst::idx(Op::LocalGet, 2),
                              WInst::idx(Op::LocalGet, 0),
                              WInst::idx(Op::CallIndirect, Bin)};
   uint32_t Tri =
       M.addType({{ValType::I32, ValType::I32, ValType::I32}, {ValType::I32}});
-  M.Funcs.push_back({Tri, {}, std::move(Body)});
+  M.Funcs.push_back(func(Tri, {}, std::move(Body)));
   M.TableElems = {0, 1, 2};
   M.Exports.push_back({"f", ExportKind::Func, 3});
 
@@ -344,10 +345,10 @@ TEST(ExecDiff, HostCallsThroughImports) {
   uint32_t TI = M.addType({{ValType::I32}, {ValType::I32}});
   M.ImportFuncs.push_back({"env", "scale", TI});
   M.Memory = {{1, std::nullopt}};
-  M.Funcs.push_back({TI,
+  M.Funcs.push_back(func(TI,
                      {},
                      {WInst::idx(Op::LocalGet, 0), WInst::idx(Op::Call, 0),
-                      WInst::i32c(1), WInst::mk(Op::I32Add)}});
+                      WInst::i32c(1), WInst::mk(Op::I32Add)}));
   M.Exports.push_back({"f", ExportKind::Func, 1});
   auto Bind = [](Instance &I) {
     I.registerHost("env", "scale",
@@ -368,7 +369,7 @@ TEST(ExecDiff, HostTrapPropagates) {
   WModule M;
   uint32_t TI = M.addType({{}, {}});
   M.ImportFuncs.push_back({"env", "boom", TI});
-  M.Funcs.push_back({TI, {}, {WInst::idx(Op::Call, 0)}});
+  M.Funcs.push_back(func(TI, {}, {WInst::idx(Op::Call, 0)}));
   M.Exports.push_back({"f", ExportKind::Func, 1});
   auto Bind = [](Instance &I) {
     I.registerHost("env", "boom",
@@ -386,7 +387,7 @@ TEST(ExecDiff, CallStackExhaustion) {
   // Infinite recursion must trap identically on both engines.
   WModule M;
   uint32_t TI = M.addType({{}, {}});
-  M.Funcs.push_back({TI, {}, {WInst::idx(Op::Call, 0)}});
+  M.Funcs.push_back(func(TI, {}, {WInst::idx(Op::Call, 0)}));
   M.Exports.push_back({"f", ExportKind::Func, 0});
   auto [T, F] = expectSame(M, "f");
   EXPECT_FALSE(T.Ok);
@@ -398,8 +399,8 @@ TEST(ExecDiff, TrapAttributedToInnermostFunction) {
   // the *faulting* function, not the entry point, on both engines.
   WModule M;
   uint32_t TI = M.addType({{}, {}});
-  M.Funcs.push_back({TI, {}, {WInst::idx(Op::Call, 1)}});
-  M.Funcs.push_back({TI, {}, {WInst::mk(Op::Unreachable)}});
+  M.Funcs.push_back(func(TI, {}, {WInst::idx(Op::Call, 1)}));
+  M.Funcs.push_back(func(TI, {}, {WInst::mk(Op::Unreachable)}));
   M.Exports.push_back({"f", ExportKind::Func, 0});
   auto [T, F] = expectSame(M, "f");
   EXPECT_FALSE(T.Ok);
@@ -414,18 +415,17 @@ TEST(ExecDiff, TrapNoteCarriesProfileCounters) {
   // traps on its first and only invocation.
   WModule M;
   uint32_t TV = M.addType({{}, {}});
-  M.Funcs.push_back(
-      {TV,
+  M.Funcs.push_back(func(TV,
        {ValType::I32},
-       {WInst::block(
+       {TInst::block(
             {{}, {}},
-            {WInst::loop({{}, {}},
+            {TInst::loop({{}, {}},
                          {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
                           WInst::mk(Op::I32Add), WInst::idx(Op::LocalTee, 0),
                           WInst::i32c(3), WInst::mk(Op::I32LtS),
                           WInst::idx(Op::BrIf, 0)})}),
-        WInst::idx(Op::Call, 1)}});
-  M.Funcs.push_back({TV, {}, {WInst::mk(Op::Unreachable)}});
+        WInst::idx(Op::Call, 1)}));
+  M.Funcs.push_back(func(TV, {}, {WInst::mk(Op::Unreachable)}));
   M.Exports.push_back({"f", ExportKind::Func, 0});
   ASSERT_TRUE(validate(M).ok()) << validate(M).error().message();
 
@@ -516,7 +516,7 @@ TEST(ExecDiff, MemoryGrowAndSize) {
 
 TEST(ExecDiff, ArithmeticTraps) {
   struct Case {
-    std::vector<WInst> Body;
+    std::vector<TInst> Body;
     const char *Msg;
   } Cases[] = {
       {{WInst::i32c(1), WInst::i32c(0), WInst::mk(Op::I32DivS)},
@@ -721,7 +721,7 @@ struct Rng {
 /// anywhere shows up in the result.
 WModule fuzzModule(uint64_t Seed, unsigned Steps) {
   Rng R(Seed);
-  std::vector<WInst> Body;
+  std::vector<TInst> Body;
   std::vector<ValType> Stk;
   auto fold = [&]() {
     // Fold the top of stack into the accumulator (local 1), erasing it.
@@ -936,8 +936,8 @@ TEST(ExecFlat, TranslationShrinksDispatchCount) {
 
 TEST(ExecFlat, FuelExhaustionTraps) {
   WModule M = oneFunc({{}, {}}, {},
-                      {WInst::block({{}, {}},
-                                    {WInst::loop({{}, {}},
+                      {TInst::block({{}, {}},
+                                    {TInst::loop({{}, {}},
                                                  {WInst::idx(Op::Br, 0)})})});
   auto FI = createInstance(M, EngineKind::Flat);
   ASSERT_TRUE(FI->initialize().ok());
@@ -1007,8 +1007,8 @@ TEST(ExecFlat, HostReentryIntoRunningInstanceTraps) {
   WModule M;
   uint32_t TI = M.addType({{}, {ValType::I32}});
   M.ImportFuncs.push_back({"env", "reenter", TI});
-  M.Funcs.push_back({TI, {}, {WInst::idx(Op::Call, 0)}});
-  M.Funcs.push_back({TI, {}, {WInst::i32c(7)}});
+  M.Funcs.push_back(func(TI, {}, {WInst::idx(Op::Call, 0)}));
+  M.Funcs.push_back(func(TI, {}, {WInst::i32c(7)}));
   M.Exports.push_back({"f", ExportKind::Func, 1});
   M.Exports.push_back({"leaf", ExportKind::Func, 2});
 
@@ -1037,8 +1037,8 @@ TEST(ExecFlat, InvokeAfterReentryTrapStillWorks) {
   WModule M;
   uint32_t TI = M.addType({{}, {ValType::I32}});
   M.ImportFuncs.push_back({"env", "reenter", TI});
-  M.Funcs.push_back({TI, {}, {WInst::idx(Op::Call, 0)}});
-  M.Funcs.push_back({TI, {}, {WInst::i32c(9)}});
+  M.Funcs.push_back(func(TI, {}, {WInst::idx(Op::Call, 0)}));
+  M.Funcs.push_back(func(TI, {}, {WInst::i32c(9)}));
   M.Exports.push_back({"f", ExportKind::Func, 1});
   M.Exports.push_back({"leaf", ExportKind::Func, 2});
 
@@ -1122,9 +1122,9 @@ TEST(JitDiff, ControlFlowBattery) {
   // Loop with accumulator locals (sum 1..100).
   WModule Sum = oneFunc(
       {{ValType::I32}, {ValType::I32}}, {ValType::I32, ValType::I32},
-      {WInst::block(
+      {TInst::block(
            {{}, {}},
-           {WInst::loop(
+           {TInst::loop(
                {{}, {}},
                {WInst::idx(Op::LocalGet, 1), WInst::i32c(1),
                 WInst::mk(Op::I32Add), WInst::idx(Op::LocalTee, 1),
@@ -1145,7 +1145,7 @@ TEST(JitDiff, ControlFlowBattery) {
   // Value-carrying br with stack fix-up below the kept slot.
   WModule Fixup = oneFunc(
       {{}, {ValType::I32}}, {},
-      {WInst::block({{}, {ValType::I32}},
+      {TInst::block({{}, {ValType::I32}},
                     {WInst::i32c(100), WInst::i32c(200), WInst::i32c(42),
                      WInst::idx(Op::Br, 0)})});
   expectSameAll(Fixup, "f");
@@ -1155,7 +1155,7 @@ TEST(JitDiff, ControlFlowBattery) {
     WModule If = oneFunc(
         {{ValType::I32}, {ValType::I32}}, {},
         {WInst::idx(Op::LocalGet, 0),
-         WInst::ifElse({{}, {ValType::I32, ValType::I32}},
+         TInst::ifElse({{}, {ValType::I32, ValType::I32}},
                        {WInst::i32c(10), WInst::i32c(20)},
                        {WInst::i32c(1), WInst::i32c(2)}),
          WInst::mk(Op::I32Add)});
@@ -1166,15 +1166,15 @@ TEST(JitDiff, ControlFlowBattery) {
   for (uint32_t Sel : {0u, 1u, 2u, 3u, 200u}) {
     WModule Bt = oneFunc(
         {{ValType::I32}, {ValType::I32}}, {ValType::I32},
-        {WInst::block(
+        {TInst::block(
              {{}, {}},
-             {WInst::block(
+             {TInst::block(
                   {{}, {}},
-                  {WInst::block(
+                  {TInst::block(
                        {{}, {}},
-                       {WInst::block({{}, {}},
+                       {TInst::block({{}, {}},
                                      {WInst::idx(Op::LocalGet, 0),
-                                      WInst::brTable({0, 1, 2}, 3)}),
+                                      TInst::brTable({0, 1, 2}, 3)}),
                         WInst::i32c(10), WInst::idx(Op::LocalSet, 1),
                         WInst::idx(Op::Br, 2)}),
                    WInst::i32c(20), WInst::idx(Op::LocalSet, 1),
@@ -1188,10 +1188,10 @@ TEST(JitDiff, ControlFlowBattery) {
   for (uint32_t Sel : {0u, 5u}) {
     WModule Btv = oneFunc(
         {{ValType::I32}, {ValType::I32}}, {},
-        {WInst::block({{}, {ValType::I32}},
+        {TInst::block({{}, {ValType::I32}},
                       {WInst::i32c(7), WInst::i32c(42),
                        WInst::idx(Op::LocalGet, 0),
-                       WInst::brTable({0}, 0)})});
+                       TInst::brTable({0}, 0)})});
     expectSameAll(Btv, "f", {WValue::i32(Sel)});
   }
 }
@@ -1200,16 +1200,15 @@ TEST(JitDiff, CallsRecursionAndIndirect) {
   // fib by double recursion: nested native frames through jitDirectCall.
   WModule Fib;
   uint32_t TI = Fib.addType({{ValType::I32}, {ValType::I32}});
-  Fib.Funcs.push_back(
-      {TI,
+  Fib.Funcs.push_back(func(TI,
        {},
        {WInst::idx(Op::LocalGet, 0), WInst::i32c(2), WInst::mk(Op::I32LtS),
-        WInst::ifElse({{}, {ValType::I32}}, {WInst::idx(Op::LocalGet, 0)},
+        TInst::ifElse({{}, {ValType::I32}}, {WInst::idx(Op::LocalGet, 0)},
                       {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
                        WInst::mk(Op::I32Sub), WInst::idx(Op::Call, 0),
                        WInst::idx(Op::LocalGet, 0), WInst::i32c(2),
                        WInst::mk(Op::I32Sub), WInst::idx(Op::Call, 0),
-                       WInst::mk(Op::I32Add)})}});
+                       WInst::mk(Op::I32Add)})}));
   Fib.Exports.push_back({"f", ExportKind::Func, 0});
   auto R = expectSameAll(Fib, "f", {WValue::i32(15)});
   EXPECT_TRUE(R[2].Ok);
@@ -1219,24 +1218,23 @@ TEST(JitDiff, CallsRecursionAndIndirect) {
   WModule M;
   uint32_t Bin = M.addType({{ValType::I32, ValType::I32}, {ValType::I32}});
   uint32_t Un = M.addType({{ValType::I32}, {ValType::I32}});
-  M.Funcs.push_back({Bin,
+  M.Funcs.push_back(func(Bin,
                      {},
                      {WInst::idx(Op::LocalGet, 0), WInst::idx(Op::LocalGet, 1),
-                      WInst::mk(Op::I32Add)}});
-  M.Funcs.push_back({Bin,
+                      WInst::mk(Op::I32Add)}));
+  M.Funcs.push_back(func(Bin,
                      {},
                      {WInst::idx(Op::LocalGet, 0), WInst::idx(Op::LocalGet, 1),
-                      WInst::mk(Op::I32Mul)}});
-  M.Funcs.push_back(
-      {Un, {}, {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
-                WInst::mk(Op::I32Add)}});
+                      WInst::mk(Op::I32Mul)}));
+  M.Funcs.push_back(func(Un, {}, {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
+                WInst::mk(Op::I32Add)}));
   uint32_t Tri =
       M.addType({{ValType::I32, ValType::I32, ValType::I32}, {ValType::I32}});
-  M.Funcs.push_back({Tri,
+  M.Funcs.push_back(func(Tri,
                      {},
                      {WInst::idx(Op::LocalGet, 1), WInst::idx(Op::LocalGet, 2),
                       WInst::idx(Op::LocalGet, 0),
-                      WInst::idx(Op::CallIndirect, Bin)}});
+                      WInst::idx(Op::CallIndirect, Bin)}));
   M.TableElems = {0, 1, 2};
   M.Exports.push_back({"f", ExportKind::Func, 3});
   for (uint32_t Sel : {0u, 1u, 2u, 9u})
@@ -1245,7 +1243,7 @@ TEST(JitDiff, CallsRecursionAndIndirect) {
   // Unbounded recursion: "call stack exhausted" from a native frame.
   WModule Rec;
   uint32_t TV = Rec.addType({{}, {}});
-  Rec.Funcs.push_back({TV, {}, {WInst::idx(Op::Call, 0)}});
+  Rec.Funcs.push_back(func(TV, {}, {WInst::idx(Op::Call, 0)}));
   Rec.Exports.push_back({"f", ExportKind::Func, 0});
   auto RR = expectSameAll(Rec, "f");
   EXPECT_EQ(RR[2].Err, "trap: call stack exhausted [func 0]");
@@ -1258,10 +1256,10 @@ TEST(JitDiff, HostCallbacksAndHostTraps) {
   uint32_t TI = M.addType({{ValType::I32}, {ValType::I32}});
   M.ImportFuncs.push_back({"env", "scale", TI});
   M.Memory = {{1, std::nullopt}};
-  M.Funcs.push_back({TI,
+  M.Funcs.push_back(func(TI,
                      {},
                      {WInst::idx(Op::LocalGet, 0), WInst::idx(Op::Call, 0),
-                      WInst::i32c(1), WInst::mk(Op::I32Add)}});
+                      WInst::i32c(1), WInst::mk(Op::I32Add)}));
   M.Exports.push_back({"f", ExportKind::Func, 1});
   auto Bind = [](Instance &I) {
     I.registerHost("env", "scale",
@@ -1281,7 +1279,7 @@ TEST(JitDiff, HostCallbacksAndHostTraps) {
   WModule B;
   uint32_t TV = B.addType({{}, {}});
   B.ImportFuncs.push_back({"env", "boom", TV});
-  B.Funcs.push_back({TV, {}, {WInst::idx(Op::Call, 0)}});
+  B.Funcs.push_back(func(TV, {}, {WInst::idx(Op::Call, 0)}));
   B.Exports.push_back({"f", ExportKind::Func, 1});
   auto BindBoom = [](Instance &I) {
     I.registerHost("env", "boom",
@@ -1351,7 +1349,7 @@ TEST(JitDiff, MemoryAndTrapMessagesExact) {
   // Arithmetic and conversion traps from inlined and helper-dispatched
   // templates alike.
   struct Case {
-    std::vector<WInst> Body;
+    std::vector<TInst> Body;
     const char *Msg;
   } Cases[] = {
       {{WInst::i32c(1), WInst::i32c(0), WInst::mk(Op::I32DivS)},
@@ -1379,8 +1377,8 @@ TEST(JitDiff, FuelExhaustionParity) {
   // exhausted" after consuming *exactly* as much fuel as the
   // interpreter would — segment batching refunds the unexecuted rest.
   WModule M = oneFunc({{}, {}}, {},
-                      {WInst::block({{}, {}},
-                                    {WInst::loop({{}, {}},
+                      {TInst::block({{}, {}},
+                                    {TInst::loop({{}, {}},
                                                  {WInst::idx(Op::Br, 0)})})});
   auto FI = createInstance(M, EngineKind::Flat);
   auto JI = createInstance(M, EngineKind::Jit);
@@ -1403,9 +1401,9 @@ TEST(JitDiff, TierUpMidLoopThenTrap) {
   // message (the deopt re-executes the faulting division flat).
   WModule M = oneFunc(
       {{ValType::I32}, {ValType::I32}}, {ValType::I32, ValType::I32},
-      {WInst::block(
+      {TInst::block(
            {{}, {}},
-           {WInst::loop(
+           {TInst::loop(
                {{}, {}},
                {WInst::idx(Op::LocalGet, 1), WInst::i32c(1),
                 WInst::mk(Op::I32Add), WInst::idx(Op::LocalTee, 1),
@@ -1475,18 +1473,17 @@ TEST(JitDiff, ProfileTrapNoteParity) {
   // both interpreters.
   WModule M;
   uint32_t TV = M.addType({{}, {}});
-  M.Funcs.push_back(
-      {TV,
+  M.Funcs.push_back(func(TV,
        {ValType::I32},
-       {WInst::block(
+       {TInst::block(
             {{}, {}},
-            {WInst::loop({{}, {}},
+            {TInst::loop({{}, {}},
                          {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
                           WInst::mk(Op::I32Add), WInst::idx(Op::LocalTee, 0),
                           WInst::i32c(3), WInst::mk(Op::I32LtS),
                           WInst::idx(Op::BrIf, 0)})}),
-        WInst::idx(Op::Call, 1)}});
-  M.Funcs.push_back({TV, {}, {WInst::mk(Op::Unreachable)}});
+        WInst::idx(Op::Call, 1)}));
+  M.Funcs.push_back(func(TV, {}, {WInst::mk(Op::Unreachable)}));
   M.Exports.push_back({"f", ExportKind::Func, 0});
   ASSERT_TRUE(validate(M).ok());
 

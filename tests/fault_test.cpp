@@ -33,11 +33,14 @@
 #include "support/ThreadPool.h"
 #include "typing/Checker.h"
 #include "wasm/Binary.h"
+#include "tests/WasmTree.h"
 
 #include <gtest/gtest.h>
 
 using namespace rw;
 using namespace rw::wasm;
+using rw::wasmtest::TInst;
+using rw::wasmtest::func;
 namespace fault = rw::support::fault;
 using fault::Seam;
 
@@ -48,12 +51,11 @@ namespace {
 WModule sumAndTrapModule() {
   WModule M;
   uint32_t TV = M.addType({{ValType::I32}, {ValType::I32}});
-  M.Funcs.push_back(
-      {TV,
+  M.Funcs.push_back(func(TV,
        {ValType::I32, ValType::I32},
-       {WInst::block(
+       {TInst::block(
             {{}, {}},
-            {WInst::loop({{}, {}},
+            {TInst::loop({{}, {}},
                          {WInst::idx(Op::LocalGet, 1), WInst::i32c(1),
                           WInst::mk(Op::I32Add), WInst::idx(Op::LocalTee, 1),
                           WInst::idx(Op::LocalGet, 2), WInst::mk(Op::I32Add),
@@ -61,11 +63,11 @@ WModule sumAndTrapModule() {
                           WInst::idx(Op::LocalGet, 1),
                           WInst::idx(Op::LocalGet, 0), WInst::mk(Op::I32LtS),
                           WInst::idx(Op::BrIf, 0)})}),
-        WInst::idx(Op::LocalGet, 2)}});
-  M.Funcs.push_back({TV,
+        WInst::idx(Op::LocalGet, 2)}));
+  M.Funcs.push_back(func(TV,
                      {},
                      {WInst::idx(Op::LocalGet, 0), WInst::i32c(0),
-                      WInst::mk(Op::I32DivS)}});
+                      WInst::mk(Op::I32DivS)}));
   M.Exports.push_back({"sum", ExportKind::Func, 0});
   M.Exports.push_back({"trap", ExportKind::Func, 1});
   return M;

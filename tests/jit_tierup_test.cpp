@@ -16,6 +16,7 @@
 #include "exec/Engine.h"
 #include "obs/Obs.h"
 #include "wasm/Validate.h"
+#include "tests/WasmTree.h"
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,8 @@
 
 using namespace rw;
 using namespace rw::wasm;
+using rw::wasmtest::TInst;
+using rw::wasmtest::func;
 
 namespace {
 
@@ -33,12 +36,11 @@ WModule sumModule() {
   WModule M;
   uint32_t TV = M.addType({{ValType::I32}, {ValType::I32}});
   // Locals: 0 = n (param), 1 = i, 2 = acc.
-  M.Funcs.push_back(
-      {TV,
+  M.Funcs.push_back(func(TV,
        {ValType::I32, ValType::I32},
-       {WInst::block(
+       {TInst::block(
             {{}, {}},
-            {WInst::loop({{}, {}},
+            {TInst::loop({{}, {}},
                          {WInst::idx(Op::LocalGet, 1), WInst::i32c(1),
                           WInst::mk(Op::I32Add), WInst::idx(Op::LocalTee, 1),
                           WInst::idx(Op::LocalGet, 2), WInst::mk(Op::I32Add),
@@ -46,7 +48,7 @@ WModule sumModule() {
                           WInst::idx(Op::LocalGet, 1),
                           WInst::idx(Op::LocalGet, 0), WInst::mk(Op::I32LtS),
                           WInst::idx(Op::BrIf, 0)})}),
-        WInst::idx(Op::LocalGet, 2)}});
+        WInst::idx(Op::LocalGet, 2)}));
   M.Exports.push_back({"sum", ExportKind::Func, 0});
   return M;
 }
@@ -57,20 +59,19 @@ WModule sumModule() {
 WModule chainModule() {
   WModule M;
   uint32_t TV = M.addType({{ValType::I32}, {ValType::I32}});
-  M.Funcs.push_back({TV,
+  M.Funcs.push_back(func(TV,
                      {},
                      {WInst::idx(Op::LocalGet, 0), WInst::idx(Op::Call, 1),
-                      WInst::i32c(1), WInst::mk(Op::I32Add)}});
-  M.Funcs.push_back({TV,
+                      WInst::i32c(1), WInst::mk(Op::I32Add)}));
+  M.Funcs.push_back(func(TV,
                      {},
                      {WInst::idx(Op::LocalGet, 0), WInst::idx(Op::Call, 2),
-                      WInst::i32c(2), WInst::mk(Op::I32Add)}});
-  M.Funcs.push_back(
-      {TV,
+                      WInst::i32c(2), WInst::mk(Op::I32Add)}));
+  M.Funcs.push_back(func(TV,
        {ValType::I32, ValType::I32},
-       {WInst::block(
+       {TInst::block(
             {{}, {}},
-            {WInst::loop({{}, {}},
+            {TInst::loop({{}, {}},
                          {WInst::idx(Op::LocalGet, 1), WInst::i32c(1),
                           WInst::mk(Op::I32Add), WInst::idx(Op::LocalTee, 1),
                           WInst::idx(Op::LocalGet, 2), WInst::mk(Op::I32Add),
@@ -78,7 +79,7 @@ WModule chainModule() {
                           WInst::idx(Op::LocalGet, 1),
                           WInst::idx(Op::LocalGet, 0), WInst::mk(Op::I32LtS),
                           WInst::idx(Op::BrIf, 0)})}),
-        WInst::idx(Op::LocalGet, 2)}});
+        WInst::idx(Op::LocalGet, 2)}));
   M.Exports.push_back({"f", ExportKind::Func, 0});
   return M;
 }

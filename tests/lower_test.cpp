@@ -406,14 +406,12 @@ TEST(Lower, GlobalInitAndStart) {
 
 namespace {
 
-/// Counts instructions in a lowered function body.
+/// Counts instructions in a lowered function body (Else/End are markers,
+/// not instructions).
 size_t countInsts(const std::vector<wasm::WInst> &Body) {
   size_t N = 0;
-  for (const wasm::WInst &I : Body) {
-    ++N;
-    N += countInsts(I.Body);
-    N += countInsts(I.Else);
-  }
+  for (const wasm::WInst &I : Body)
+    N += I.K != wasm::Op::Else && I.K != wasm::Op::End;
   return N;
 }
 

@@ -25,6 +25,7 @@
 #include "typing/Checker.h"
 #include "wasm/Interp.h"
 #include "wasm/Validate.h"
+#include "tests/WasmTree.h"
 
 #include <gtest/gtest.h>
 
@@ -34,6 +35,8 @@
 #include <vector>
 
 using namespace rw;
+using rw::wasmtest::func;
+using rw::wasmtest::TInst;
 using rwbench::AdmissionSet;
 
 namespace {
@@ -81,16 +84,15 @@ TEST(ObsProfile, ResetProfilesZeroesEveryRow) {
   using namespace rw::wasm;
   WModule M;
   uint32_t TV = M.addType({{}, {}});
-  M.Funcs.push_back(
-      {TV,
+  M.Funcs.push_back(func(TV,
        {ValType::I32},
-       {WInst::block({{}, {}},
-                     {WInst::loop({{}, {}},
+       {TInst::block({{}, {}},
+                     {TInst::loop({{}, {}},
                                   {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
                                    WInst::mk(Op::I32Add),
                                    WInst::idx(Op::LocalTee, 0), WInst::i32c(3),
                                    WInst::mk(Op::I32LtS),
-                                   WInst::idx(Op::BrIf, 0)})})}});
+                                   WInst::idx(Op::BrIf, 0)})})}));
   M.Exports.push_back({"f", ExportKind::Func, 0});
   ASSERT_TRUE(validate(M).ok());
 
@@ -453,18 +455,17 @@ TEST(Obs, FunctionProfilesIdenticalAcrossEngines) {
   // f0: a 5-iteration counting loop, then two calls of f1; f1: empty.
   WModule M;
   uint32_t TV = M.addType({{}, {}});
-  M.Funcs.push_back(
-      {TV,
+  M.Funcs.push_back(func(TV,
        {ValType::I32},
-       {WInst::block({{}, {}},
-                     {WInst::loop({{}, {}},
+       {TInst::block({{}, {}},
+                     {TInst::loop({{}, {}},
                                   {WInst::idx(Op::LocalGet, 0), WInst::i32c(1),
                                    WInst::mk(Op::I32Add),
                                    WInst::idx(Op::LocalTee, 0), WInst::i32c(5),
                                    WInst::mk(Op::I32LtS),
                                    WInst::idx(Op::BrIf, 0)})}),
-        WInst::idx(Op::Call, 1), WInst::idx(Op::Call, 1)}});
-  M.Funcs.push_back({TV, {}, {WInst::mk(Op::Nop)}});
+        WInst::idx(Op::Call, 1), WInst::idx(Op::Call, 1)}));
+  M.Funcs.push_back(func(TV, {}, {WInst::mk(Op::Nop)}));
   M.Exports.push_back({"f", ExportKind::Func, 0});
   ASSERT_TRUE(validate(M).ok()) << validate(M).error().message();
 

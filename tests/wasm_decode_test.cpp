@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/Common.h"
+#include "exec/Translate.h"
 #include "ingest/Limits.h"
 #include "lower/Lower.h"
 #include "support/LEB128.h"
@@ -169,12 +170,12 @@ TEST(WasmDecode, LocalsAmplificationRejected) {
   EXPECT_EQ(E.Cat, Category::LimitExceeded);
 }
 
-TEST(WasmDecode, DeepNestingCapped) {
-  // 600 nested void blocks exceeds MaxNestingDepth = 256.
+/// One function of type [] -> [] whose body nests \p Depth void blocks.
+std::vector<uint8_t> nestedBlocksModule(unsigned Depth) {
   std::vector<uint8_t> Body;
-  for (int I = 0; I < 600; ++I)
+  for (unsigned I = 0; I < Depth; ++I)
     Body.insert(Body.end(), {0x02, 0x40}); // block (result void)
-  for (int I = 0; I < 600; ++I)
+  for (unsigned I = 0; I < Depth; ++I)
     Body.push_back(0x0b); // end
   Body.push_back(0x0b);   // function end
 
@@ -190,7 +191,12 @@ TEST(WasmDecode, DeepNestingCapped) {
   B.push_back(0x0a);
   encodeULEB128(Code.size(), B);
   B.insert(B.end(), Code.begin(), Code.end());
+  return B;
+}
 
+TEST(WasmDecode, DeepNestingCapped) {
+  // 600 nested void blocks exceeds MaxNestingDepth = 256.
+  std::vector<uint8_t> B = nestedBlocksModule(600);
   IngestError E;
   Expected<wasm::WModule> M = wasm::decode(B, Limits(), &E);
   ASSERT_FALSE(M);
@@ -199,6 +205,50 @@ TEST(WasmDecode, DeepNestingCapped) {
   Limits Unl = Limits::unlimited();
   Expected<wasm::WModule> M2 = wasm::decode(B, Unl, nullptr);
   EXPECT_TRUE(M2) << "same bytes admissible when the policy allows depth";
+}
+
+TEST(WasmDecode, NestingAtTheCapIsAcceptedOneDeeperIsNot) {
+  const unsigned Cap = Limits().MaxNestingDepth;
+  IngestError E;
+  Expected<wasm::WModule> AtCap =
+      wasm::decode(nestedBlocksModule(Cap), Limits(), &E);
+  ASSERT_TRUE(AtCap) << AtCap.error().message();
+  EXPECT_EQ(E.Cat, Category::None);
+  EXPECT_TRUE(wasm::validate(*AtCap));
+
+  Expected<wasm::WModule> Deeper =
+      wasm::decode(nestedBlocksModule(Cap + 1), Limits(), &E);
+  ASSERT_FALSE(Deeper);
+  EXPECT_EQ(E.Cat, Category::LimitExceeded);
+  // Just past the block type of the first block beyond the cap: header
+  // (8) + type and function sections (10) + code section id, size, count,
+  // body size and local-run count (7) + 257 two-byte block openers.
+  EXPECT_EQ(E.Offset, 539u);
+}
+
+TEST(WasmDecode, HundredThousandDeepNestRunsWithoutRecursion) {
+  // Every consumer walks structured control with an explicit stack, so a
+  // nest far deeper than any native stack could recurse through decodes,
+  // validates, translates and re-encodes once the cap allows it.
+  const unsigned Depth = 100000;
+  std::vector<uint8_t> B = nestedBlocksModule(Depth);
+  Limits L = Limits::unlimited();
+  L.MaxNestingDepth = Depth;
+  Expected<wasm::WModule> M = wasm::decode(B, L, nullptr);
+  ASSERT_TRUE(M) << M.error().message();
+  ASSERT_EQ(M->Funcs.size(), 1u);
+  EXPECT_EQ(M->Funcs[0].Body.size(), 2u * Depth);
+  EXPECT_EQ(M->Funcs[0].BlockTypes.size(), 1u) << "block types are interned";
+  Status V = wasm::validate(*M);
+  EXPECT_TRUE(V) << V.error().message();
+  Expected<exec::FlatModule> FM = exec::translate(*M);
+  ASSERT_TRUE(FM) << FM.error().message();
+  EXPECT_EQ(wasm::encode(*M), B);
+
+  L.MaxNestingDepth = Depth - 1;
+  IngestError E;
+  EXPECT_FALSE(wasm::decode(B, L, &E));
+  EXPECT_EQ(E.Cat, Category::LimitExceeded);
 }
 
 TEST(WasmDecode, SectionOrderEnforced) {

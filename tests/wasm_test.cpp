@@ -9,20 +9,23 @@
 #include "wasm/Binary.h"
 #include "wasm/Interp.h"
 #include "wasm/Validate.h"
+#include "tests/WasmTree.h"
 
 #include <gtest/gtest.h>
 
 using namespace rw;
 using namespace rw::wasm;
+using rw::wasmtest::TInst;
+using rw::wasmtest::func;
 
 namespace {
 
 /// A module with one exported function "f" of the given signature.
 WModule oneFunc(FuncType FT, std::vector<ValType> Locals,
-                std::vector<WInst> Body) {
+                std::vector<TInst> Body) {
   WModule M;
   uint32_t TI = M.addType(std::move(FT));
-  M.Funcs.push_back({TI, std::move(Locals), std::move(Body)});
+  M.Funcs.push_back(func(TI, std::move(Locals), std::move(Body)));
   M.Exports.push_back({"f", ExportKind::Func, 0});
   return M;
 }
@@ -83,7 +86,7 @@ TEST(WasmValidate, MultiValueBlock) {
   // A block producing two results (multi-value extension).
   FuncType BT{{}, {ValType::I32, ValType::I32}};
   WModule M = oneFunc({{}, {ValType::I32}}, {},
-                      {WInst::block(BT, {WInst::i32c(1), WInst::i32c(2)}),
+                      {TInst::block(BT, {WInst::i32c(1), WInst::i32c(2)}),
                        WInst::mk(Op::I32Add)});
   EXPECT_TRUE(validate(M).ok()) << validate(M).error().message();
 }
@@ -118,9 +121,9 @@ TEST(WasmInterp, FactorialLoop) {
   WModule M = oneFunc(
       {{ValType::I32}, {ValType::I32}}, {ValType::I32},
       {WInst::i32c(1), WInst::idx(Op::LocalSet, 1),
-       WInst::block(
+       TInst::block(
            {{}, {}},
-           {WInst::loop(
+           {TInst::loop(
                {{}, {}},
                {// if local0 == 0 break
                 WInst::idx(Op::LocalGet, 0), WInst::mk(Op::I32Eqz),
@@ -172,14 +175,14 @@ TEST(WasmInterp, CallIndirectSignatureCheck) {
   WModule M;
   uint32_t TAdd = M.addType({{ValType::I32, ValType::I32}, {ValType::I32}});
   uint32_t TNul = M.addType({{}, {ValType::I32}});
-  M.Funcs.push_back({TAdd,
+  M.Funcs.push_back(func(TAdd,
                      {},
                      {WInst::idx(Op::LocalGet, 0), WInst::idx(Op::LocalGet, 1),
-                      WInst::mk(Op::I32Add)}});
+                      WInst::mk(Op::I32Add)}));
   M.TableElems = {0};
   // Call through the table with the wrong signature: must trap.
   WInst CI = WInst::idx(Op::CallIndirect, TNul);
-  M.Funcs.push_back({TNul, {}, {WInst::i32c(0), CI}});
+  M.Funcs.push_back(func(TNul, {}, {WInst::i32c(0), CI}));
   M.Exports.push_back({"f", ExportKind::Func, 1});
   auto R = runF(M, {});
   ASSERT_FALSE(bool(R));
@@ -190,8 +193,8 @@ TEST(WasmInterp, HostFunctionImport) {
   WModule M;
   uint32_t T1 = M.addType({{ValType::I32}, {ValType::I32}});
   M.ImportFuncs.push_back({"env", "double", T1});
-  M.Funcs.push_back({T1, {}, {WInst::idx(Op::LocalGet, 0),
-                              WInst::idx(Op::Call, 0)}});
+  M.Funcs.push_back(func(T1, {}, {WInst::idx(Op::LocalGet, 0),
+                              WInst::idx(Op::Call, 0)}));
   M.Exports.push_back({"f", ExportKind::Func, 1});
   WasmInstance Inst(M);
   Inst.registerHost("env", "double",
@@ -218,11 +221,11 @@ TEST(WasmInterp, GlobalsAndStart) {
   uint32_t T0 = M.addType({{}, {}});
   uint32_t T1 = M.addType({{}, {ValType::I32}});
   M.Globals.push_back({ValType::I32, true, {WInst::i32c(5)}});
-  M.Funcs.push_back({T0,
+  M.Funcs.push_back(func(T0,
                      {},
                      {WInst::idx(Op::GlobalGet, 0), WInst::i32c(2),
-                      WInst::mk(Op::I32Mul), WInst::idx(Op::GlobalSet, 0)}});
-  M.Funcs.push_back({T1, {}, {WInst::idx(Op::GlobalGet, 0)}});
+                      WInst::mk(Op::I32Mul), WInst::idx(Op::GlobalSet, 0)}));
+  M.Funcs.push_back(func(T1, {}, {WInst::idx(Op::GlobalGet, 0)}));
   M.Start = 0;
   M.Exports.push_back({"f", ExportKind::Func, 1});
   auto R = runF(M, {});
@@ -247,7 +250,7 @@ TEST(WasmBinary, RoundTripPreservesBehaviour) {
   WModule M = oneFunc(
       {{ValType::I32}, {ValType::I32}}, {ValType::I64},
       {WInst::idx(Op::LocalGet, 0), WInst::i32c(3), WInst::mk(Op::I32Add),
-       WInst::block({{}, {ValType::I32}},
+       TInst::block({{}, {ValType::I32}},
                     {WInst::i32c(10), WInst::idx(Op::Br, 0)}),
        WInst::mk(Op::I32Mul)});
   M.Memory = {{1, {2}}};
@@ -273,7 +276,7 @@ TEST(WasmBinary, RoundTripImportsExportsTable) {
   WModule M;
   uint32_t T1 = M.addType({{ValType::I32}, {ValType::I32}});
   M.ImportFuncs.push_back({"env", "h", T1});
-  M.Funcs.push_back({T1, {}, {WInst::idx(Op::LocalGet, 0)}});
+  M.Funcs.push_back(func(T1, {}, {WInst::idx(Op::LocalGet, 0)}));
   M.TableElems = {1};
   M.Exports.push_back({"f", ExportKind::Func, 1});
   M.Globals.push_back({ValType::I64, true, {WInst::i64c(7)}});
@@ -293,7 +296,7 @@ TEST(WasmBinary, MultiValueBlockTypeRoundTrips) {
   FuncType BT{{ValType::I32}, {ValType::I32, ValType::I32}};
   WModule M = oneFunc({{}, {ValType::I32}}, {},
                       {WInst::i32c(5),
-                       WInst::block(BT, {WInst::i32c(1)}),
+                       TInst::block(BT, {WInst::i32c(1)}),
                        WInst::mk(Op::I32Add)});
   Expected<WModule> M2 = decode(encode(M));
   ASSERT_TRUE(bool(M2)) << M2.error().message();
