@@ -2014,7 +2014,7 @@ Expected<LoweredProgram> ProgramLowering::run() {
   }
 
   // Global initializers and start functions run from __rw_init.
-  std::vector<WInst> InitBody;
+  wasm::WFunc Init;
   for (uint32_t MI = 0; MI < Mods.size(); ++MI) {
     const Module &M = *Mods[MI];
     for (uint32_t GI = 0; GI < M.Globals.size(); ++GI) {
@@ -2039,12 +2039,12 @@ Expected<LoweredProgram> ProgramLowering::run() {
             {static_cast<uint32_t>(Out.Module.Funcs.size()),
              std::move(FL.IndirectSigs)});
       Out.Module.Funcs.push_back(std::move(Fn));
-      InitBody.push_back(WInst::idx(Op::Call, Idx));
+      Init.Body.push_back(WInst::idx(Op::Call, Idx));
     }
   }
   for (uint32_t MI = 0; MI < Mods.size(); ++MI)
     if (Mods[MI]->Start)
-      InitBody.push_back(
+      Init.Body.push_back(
           WInst::idx(Op::Call, Out.FuncMap.at({MI, *Mods[MI]->Start})));
 
   // Patch call_indirect type indices (they need module-level type
@@ -2058,11 +2058,10 @@ Expected<LoweredProgram> ProgramLowering::run() {
     for (WInst &W : Out.Module.Funcs[FIdx].Body)
       if (W.K == Op::CallIndirect)
         W.U32 = Out.Module.addType(Sigs[W.U32]);
-  if (!InitBody.empty()) {
-    uint32_t TI = Out.Module.addType({{}, {}});
-    uint32_t Idx = Out.Module.numFuncs();
-    Out.Module.Funcs.push_back({TI, {}, std::move(InitBody)});
-    Out.Module.Start = Idx;
+  if (!Init.Body.empty()) {
+    Init.TypeIdx = Out.Module.addType({{}, {}});
+    Out.Module.Start = Out.Module.numFuncs();
+    Out.Module.Funcs.push_back(std::move(Init));
   }
 
   // Exports.

@@ -238,8 +238,8 @@ RuntimeLayout rw::lower::emitRuntime(WModule &M) {
   //===------------------------------------------------------------------===//
   {
     using W = WInst;
-    std::vector<WInst> Body;
-    auto Emit = [&](WInst I) { Body.push_back(std::move(I)); };
+    WFunc F;
+    auto Emit = [&](WInst I) { F.Body.push_back(I); };
     // blk = ptr - HEADER (local 1)
     Emit(W::idx(Op::LocalGet, 0));
     Emit(W::i32c(RuntimeLayout::HeaderBytes));
@@ -263,9 +263,10 @@ RuntimeLayout rw::lower::emitRuntime(WModule &M) {
     Emit(W::mk(Op::I32Add));
     Emit(W::idx(Op::GlobalSet, L.GFrees));
 
-    uint32_t TI = M.addType({{ValType::I32}, {}});
+    F.TypeIdx = M.addType({{ValType::I32}, {}});
+    F.Locals = {ValType::I32};
     L.FreeFunc = M.numFuncs();
-    M.Funcs.push_back({TI, {ValType::I32}, std::move(Body)});
+    M.Funcs.push_back(std::move(F));
   }
 
   return L;

@@ -1035,8 +1035,8 @@ private:
   /// control is tracked on an explicit stack whose depth enforces
   /// Limits::MaxNestingDepth: no recursion, however deep the input nests.
   Status expr(WFunc &F) {
-    enum Frame : uint8_t { Plain, Then, ElseArm };
-    std::vector<Frame> Open;
+    std::vector<Frame> &Open = OpenFrames;
+    Open.clear();
     for (;;) {
       size_t Off = Pos;
       Expected<uint8_t> Bc = u8("opcode");
@@ -1234,6 +1234,9 @@ private:
   std::vector<uint32_t> Elems;
   /// Block-type interning memo (see blockSlot) and the codes it holds.
   std::vector<uint32_t> SlotOf, UsedCodes;
+  /// expr()'s control stack: one entry per open structured op.
+  enum Frame : uint8_t { Plain, Then, ElseArm };
+  std::vector<Frame> OpenFrames;
 };
 
 } // namespace

@@ -1,4 +1,4 @@
-//===- tests/WasmTree.h - Nested Wasm literals for hand-built tests -*- C++-*-===//
+//===- tests/WasmTree.h - Nested Wasm literals for tests --------*- C++ -*-===//
 //
 // Part of the RichWasm reproduction. MIT license.
 //
