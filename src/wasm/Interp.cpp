@@ -118,8 +118,15 @@ Status WasmInstance::prepare() {
     std::vector<uint32_t> &Mt = Match[FI];
     Mt.assign(Body.size(), 0);
     Open.clear();
+    const WFunc &F = M->Funcs[FI];
     for (uint32_t Pc = 0; Pc < Body.size(); ++Pc) {
-      Op K = Body[Pc].K;
+      const WInst &I = Body[Pc];
+      Op K = I.K;
+      if ((opensFrame(K) && I.U32 >= F.BlockTypes.size()) ||
+          (K == Op::BrTable &&
+           static_cast<uint32_t>(I.U64) + (I.U64 >> 32) > F.BrTargets.size()))
+        return Error("side-table index out of range in function " +
+                     std::to_string(FI + M->ImportFuncs.size()));
       if (opensFrame(K)) {
         Open.push_back(Pc);
       } else if (K == Op::Else || K == Op::End) {
