@@ -1,13 +1,14 @@
 //===- bench/c6_admission_cache.cpp - C6: content-addressed admission -----===//
 // The admission-server repetition experiment (DESIGN.md §8): real traffic
 // resubmits the same library modules over and over, so admission results
-// are memoized content-addressed. Measures the full admission pipeline —
-// batch check (cached verdicts) plus lowered instantiation (cached
-// lowering + flat translation) — cold (empty cache, every stage runs)
-// versus warm (resident cache, the pipeline skips to instantiation), plus
-// the serialization layer underneath the cache. run_bench.sh emits the
-// cold/warm pairs into BENCH_cache.json; the 64-module warm speedup is
-// the headline number (≥10x gates cache PRs).
+// are memoized, keyed by exact content. Measures the full admission
+// pipeline — link::instantiateLowered with a cache and a pool, which on a
+// miss checks, lowers and translates, and on a hit (the link set's bytes
+// compared in full) goes straight to instantiation — cold (empty cache)
+// versus warm (resident cache), plus the serialization layer the key is
+// built from. run_bench.sh emits the cold/warm pairs into
+// BENCH_cache.json; the 64-module warm speedup is the headline number
+// (≥10x gates cache PRs).
 #include "Common.h"
 
 #include "cache/AdmissionCache.h"
@@ -25,16 +26,13 @@ namespace {
 // bodies) lives in bench/Common.h, shared with fig3's cold-instantiate
 // bench.
 
-/// One admission: batch-check every module (memoized verdicts), then ship
-/// the accepted set through the lowered pipeline (memoized artifact).
+/// One admission of the whole set through the lowered pipeline: a miss
+/// checks over the pool, lowers and translates; a hit does none of it.
 bool admit(const AdmissionSet &Set, support::ThreadPool &Pool,
            cache::AdmissionCache &C) {
-  std::vector<Status> Verdicts = typing::checkModules(Set.Ptrs, Pool, &C);
-  for (const Status &S : Verdicts)
-    if (!S.ok())
-      return false;
   link::LinkOptions Opts;
   Opts.Cache = &C;
+  Opts.Pool = &Pool;
   Opts.Engine = wasm::EngineKind::Flat;
   Opts.RunStart = false;
   auto LI = link::instantiateLowered(Set.Ptrs, Opts);
@@ -95,42 +93,6 @@ static void C6_AdmissionWarm(benchmark::State &St) {
 BENCHMARK(C6_AdmissionWarm)->Arg(8)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 //===----------------------------------------------------------------------===//
-// Batch check alone, cold vs warm (the per-module verdict cache)
-//===----------------------------------------------------------------------===//
-
-static void C6_CheckBatchCold(benchmark::State &St) {
-  AdmissionSet Set(static_cast<unsigned>(St.range(0)));
-  support::ThreadPool Pool;
-  for (auto _ : St) {
-    cache::AdmissionCache C;
-    auto Out = typing::checkModules(Set.Ptrs, Pool, &C);
-    benchmark::DoNotOptimize(Out.size());
-  }
-}
-BENCHMARK(C6_CheckBatchCold)
-    ->Arg(8)
-    ->Arg(64)
-    ->Arg(256)
-    ->Unit(benchmark::kMicrosecond);
-
-static void C6_CheckBatchWarm(benchmark::State &St) {
-  AdmissionSet Set(static_cast<unsigned>(St.range(0)));
-  support::ThreadPool Pool;
-  cache::AdmissionCache C;
-  (void)typing::checkModules(Set.Ptrs, Pool, &C);
-  for (auto _ : St) {
-    auto Out = typing::checkModules(Set.Ptrs, Pool, &C);
-    benchmark::DoNotOptimize(Out.size());
-  }
-  reportCache(St, C);
-}
-BENCHMARK(C6_CheckBatchWarm)
-    ->Arg(8)
-    ->Arg(64)
-    ->Arg(256)
-    ->Unit(benchmark::kMicrosecond);
-
-//===----------------------------------------------------------------------===//
 // The serialization layer
 //===----------------------------------------------------------------------===//
 
@@ -164,16 +126,5 @@ static void C6_DeserializeModule(benchmark::State &St) {
     }
 }
 BENCHMARK(C6_DeserializeModule)->Arg(64)->Unit(benchmark::kMicrosecond);
-
-static void C6_ModuleHash(benchmark::State &St) {
-  AdmissionSet Set(static_cast<unsigned>(St.range(0)));
-  for (auto _ : St) {
-    uint64_t Acc = 0;
-    for (const rw::ir::Module *M : Set.Ptrs)
-      Acc ^= serial::moduleHash(*M).Hi;
-    benchmark::DoNotOptimize(Acc);
-  }
-}
-BENCHMARK(C6_ModuleHash)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -6,7 +6,7 @@
 //
 // Totality harness for the RichWasm wire-format reader. A private arena
 // per input keeps rejected payloads from growing any shared state; a
-// payload that reads back must re-serialize and hash without UB.
+// payload that reads back must re-serialize without UB.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +21,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   std::vector<uint8_t> Bytes(Data, Data + Size);
   auto Arena = std::make_shared<rw::ir::TypeArena>();
   rw::Expected<rw::ir::Module> M = rw::serial::read(Bytes, Arena);
-  if (M) {
+  if (M)
     (void)rw::serial::write(*M);
-    (void)rw::serial::moduleHash(*M);
-  }
   return 0;
 }

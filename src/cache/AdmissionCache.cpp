@@ -4,29 +4,24 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Each shard is one mutex-guarded LRU over all three entry kinds (check
-// verdicts, program artifacts and verified bytes) with its slice of the
-// byte budget: a recency list whose nodes own the values, plus one hash
-// index per kind pointing into it. Every operation is a couple of hash
-// probes and a list splice, so a lock is held for nanoseconds; evicted
-// entries leave the lock on a local list and are freed after it is
-// released, so no artifact is destroyed under it. The default single
-// shard gives exact global recency, and a server constructs with more
-// shards to spread client threads across independent locks (the shard
-// is picked from the content key, so a given key always lands on the
-// same shard). Also defines the cached typing::checkModules overload,
-// which lives here (not in typing/) so the typing layer keeps no cache
-// dependency beyond a forward declaration.
+// Each shard is one mutex-guarded LRU with its slice of the byte budget:
+// a recency list whose nodes own the entries, plus one hash index pointing
+// into it. Every operation is a hash probe, a byte compare and a list
+// splice, so a lock is held briefly; evicted entries leave the lock on a
+// local list and are freed after it is released, so no artifact is
+// destroyed under it. The default single shard gives exact global
+// recency, and a server constructs with more shards to spread client
+// threads across independent locks (the shard is picked from the content
+// key, so a given byte string always lands on the same shard).
 //
 //===----------------------------------------------------------------------===//
 
 #include "cache/AdmissionCache.h"
 
 #include "obs/Obs.h"
+#include "serial/Serial.h"
 #include "support/FaultInject.h"
 #include "support/Hashing.h"
-#include "support/ThreadPool.h"
-#include "typing/Checker.h"
 
 #include <cstring>
 #include <list>
@@ -36,26 +31,22 @@
 using namespace rw;
 using namespace rw::cache;
 
-serial::ModuleHash
-rw::cache::programKey(const std::vector<const ir::Module *> &Mods) {
-  // Fold per-module hashes in link order (order decides shadowing). The
-  // multiplier keeps [A, B] distinct from [B, A].
-  using support::mix64;
-  serial::ModuleHash K{0x9e3779b97f4a7c15ull, 0x2545f4914f6cdd1dull};
+std::vector<uint8_t>
+rw::cache::linkSetKey(const std::vector<const ir::Module *> &Mods) {
+  std::vector<uint8_t> Key = {'R', 'W', 'L', 'S'};
   for (const ir::Module *M : Mods) {
-    serial::ModuleHash H = serial::moduleHash(*M);
-    K.Hi = mix64(K.Hi * 0x100000001b3ull ^ H.Hi);
-    K.Lo = mix64(K.Lo * 0x100000001b3ull ^ H.Lo);
+    std::vector<uint8_t> B = serial::write(*M);
+    Key.insert(Key.end(), B.begin(), B.end());
   }
-  return K;
+  return Key;
 }
 
 namespace {
 
-/// The default verified-bytes key: two independent word-at-a-time
-/// multiply chains over the bytes, seeded with the length. Not
-/// collision-resistant; lookupVerified compares the full bytes anyway.
-serial::ModuleHash bytesKey(const std::vector<uint8_t> &Bytes) {
+/// The default key: two independent word-at-a-time multiply chains over
+/// the bytes, seeded with the length. Not collision-resistant;
+/// lookupVerified compares the full bytes anyway.
+ContentKey bytesKey(const std::vector<uint8_t> &Bytes) {
   using support::mix64;
   uint64_t A = 0x9e3779b97f4a7c15ull ^ Bytes.size();
   uint64_t B = 0x2545f4914f6cdd1dull;
@@ -73,7 +64,7 @@ serial::ModuleHash bytesKey(const std::vector<uint8_t> &Bytes) {
 }
 
 struct KeyHash {
-  size_t operator()(const serial::ModuleHash &K) const {
+  size_t operator()(const ContentKey &K) const {
     return static_cast<size_t>(K.Hi ^ (K.Lo * 0x9e3779b97f4a7c15ull));
   }
 };
@@ -139,10 +130,6 @@ uint64_t artifactBytes(const LoweredArtifact &A) {
   return B;
 }
 
-uint64_t checkBytes(const CheckResult &R) {
-  return 64 + R.Diagnostics.size();
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -150,30 +137,20 @@ uint64_t checkBytes(const CheckResult &R) {
 //===----------------------------------------------------------------------===//
 
 struct AdmissionCache::Impl {
-  enum class Kind : uint8_t { Check, Program, Verified };
-
   struct Entry {
-    Kind K;
-    serial::ModuleHash Key;
-    CheckResult Check;
-    /// Program entries use only Ver.Art.
-    VerifiedModule Ver;
-    /// Verified entries: the exact admitted bytes every hit is compared to.
+    ContentKey Key;
+    /// The exact bytes every hit is compared to.
     std::vector<uint8_t> Input;
+    VerifiedModule Ver;
     uint64_t Bytes = 0;
   };
 
   using Lru = std::list<Entry>;
-  using Map = std::unordered_map<serial::ModuleHash, Lru::iterator, KeyHash>;
 
   mutable std::mutex M;
   Lru Recency; ///< Front = most recently used.
-  Map Checks, Programs, Verified;
+  std::unordered_map<ContentKey, Lru::iterator, KeyHash> Index;
   CacheStats St;
-
-  Map &mapFor(Kind K) {
-    return K == Kind::Check ? Checks : K == Kind::Program ? Programs : Verified;
-  }
 
   void touch(Lru::iterator It) { Recency.splice(Recency.begin(), Recency, It); }
 
@@ -184,7 +161,7 @@ struct AdmissionCache::Impl {
   void evict(uint64_t Budget, Lru &Dead) {
     while (St.Bytes > Budget && !Recency.empty()) {
       Entry &E = Recency.back();
-      mapFor(E.K).erase(E.Key);
+      Index.erase(E.Key);
       St.Bytes -= E.Bytes;
       --St.Entries;
       ++St.Evictions;
@@ -195,27 +172,25 @@ struct AdmissionCache::Impl {
   /// Inserts \p E unless its key is resident. \p E is moved from only
   /// when inserted, so a caller that declared it before taking the lock
   /// frees a duplicate after unlocking.
-  void insert(Kind K, const serial::ModuleHash &Key, Entry &&E,
-              uint64_t Budget, Lru &Dead) {
+  void insert(Entry &&E, uint64_t Budget, Lru &Dead) {
     // An entry the whole budget cannot hold is rejected up front: pushing
     // it through the LRU would evict every resident entry before the
     // oversized one itself went, flushing the warm set for nothing.
     if (E.Bytes > Budget)
       return;
-    Map &M = mapFor(K);
-    auto It = M.find(Key);
-    if (It != M.end()) {
-      // Content-addressed: a re-store carries the same value; refresh
-      // recency and keep the resident entry. For verified bytes the
-      // resident may be a different byte string on the same key: it stays
-      // served, and the newcomer stays uncached.
+    auto It = Index.find(E.Key);
+    if (It != Index.end()) {
+      // A re-store of the same bytes carries the same artifact: refresh
+      // recency and keep the resident entry. The resident may also be a
+      // different byte string on the same key: it stays served, and the
+      // newcomer stays uncached.
       touch(It->second);
       return;
     }
     St.Bytes += E.Bytes;
     ++St.Entries;
     Recency.push_front(std::move(E));
-    M.emplace(Key, Recency.begin());
+    Index.emplace(Recency.front().Key, Recency.begin());
     evict(Budget, Dead);
   }
 };
@@ -235,12 +210,8 @@ AdmissionCache::AdmissionCache(uint64_t ByteBudget, unsigned Shards)
   // lifts the "shard<i>" segment into a shard="<i>" label.
   ObsSourceId = obs::registerSource("cache", [this](const obs::EmitFn &E) {
     CacheStats S = stats();
-    E("hits", S.hits());
-    E("misses", S.misses());
-    E("check_hits", S.CheckHits);
-    E("check_misses", S.CheckMisses);
-    E("program_hits", S.ProgramHits);
-    E("program_misses", S.ProgramMisses);
+    E("hits", S.ProgramHits);
+    E("misses", S.ProgramMisses);
     E("evictions", S.Evictions);
     E("bytes", S.Bytes);
     E("entries", S.Entries);
@@ -249,8 +220,8 @@ AdmissionCache::AdmissionCache(uint64_t ByteBudget, unsigned Shards)
       for (unsigned I = 0; I < NumShards; ++I) {
         CacheStats P = shardStats(I);
         std::string Prefix = "shard" + std::to_string(I) + ".";
-        E((Prefix + "hits").c_str(), P.hits());
-        E((Prefix + "misses").c_str(), P.misses());
+        E((Prefix + "hits").c_str(), P.ProgramHits);
+        E((Prefix + "misses").c_str(), P.ProgramMisses);
         E((Prefix + "evictions").c_str(), P.Evictions);
         E((Prefix + "bytes").c_str(), P.Bytes);
         E((Prefix + "entries").c_str(), P.Entries);
@@ -261,90 +232,25 @@ AdmissionCache::AdmissionCache(uint64_t ByteBudget, unsigned Shards)
 
 AdmissionCache::~AdmissionCache() { obs::unregisterSource(ObsSourceId); }
 
-AdmissionCache::Impl &AdmissionCache::shardFor(const serial::ModuleHash &Key) {
+AdmissionCache::Impl &AdmissionCache::shardFor(const ContentKey &Key) {
   if (NumShards == 1)
     return *Sh[0];
   // Mix the words through two rounds so the shard choice neither shares
   // bits with the per-shard map's KeyHash (which folds Lo into Hi) nor
   // collapses for correlated Hi/Lo pairs (Lo ^ (Hi << 1) is constant
   // along the line Lo = 2*Hi + c — cache_test pins this with synthetic
-  // keys; real keys are Merkle hashes but cost here is two multiplies).
+  // keys; real keys are well mixed, but the cost here is two multiplies).
   return *Sh[support::mix64(Key.Lo ^ support::mix64(Key.Hi)) % NumShards];
-}
-
-std::optional<CheckResult>
-AdmissionCache::lookupCheck(const serial::ModuleHash &Key) {
-  OBS_SPAN("cache_probe");
-  Impl &I = shardFor(Key);
-  std::lock_guard<std::mutex> G(I.M);
-  auto It = I.Checks.find(Key);
-  if (It == I.Checks.end()) {
-    ++I.St.CheckMisses;
-    return std::nullopt;
-  }
-  ++I.St.CheckHits;
-  I.touch(It->second);
-  return It->second->Check;
-}
-
-void AdmissionCache::storeCheck(const serial::ModuleHash &Key, CheckResult R) {
-  OBS_SPAN("cache_store");
-  // Store-failure seam: a dropped store degrades to uncached admission —
-  // the verdict is simply recomputed on the next submission.
-  if (RW_FAULT_POINT(support::fault::Seam::CacheStore))
-    return;
-  Impl::Entry E;
-  E.K = Impl::Kind::Check;
-  E.Key = Key;
-  E.Bytes = checkBytes(R);
-  E.Check = std::move(R);
-  Impl &I = shardFor(Key);
-  Impl::Lru Dead;
-  std::lock_guard<std::mutex> G(I.M);
-  I.insert(Impl::Kind::Check, Key, std::move(E), ShardBudget, Dead);
-}
-
-std::shared_ptr<const LoweredArtifact>
-AdmissionCache::lookupProgram(const serial::ModuleHash &Key) {
-  OBS_SPAN("cache_probe");
-  Impl &I = shardFor(Key);
-  std::lock_guard<std::mutex> G(I.M);
-  auto It = I.Programs.find(Key);
-  if (It == I.Programs.end()) {
-    ++I.St.ProgramMisses;
-    return nullptr;
-  }
-  ++I.St.ProgramHits;
-  I.touch(It->second);
-  return It->second->Ver.Art;
-}
-
-void AdmissionCache::storeProgram(const serial::ModuleHash &Key,
-                                  std::shared_ptr<const LoweredArtifact> Art) {
-  OBS_SPAN("cache_store");
-  if (RW_FAULT_POINT(support::fault::Seam::CacheStore))
-    return;
-  if (!Art)
-    return;
-  Impl::Entry E;
-  E.K = Impl::Kind::Program;
-  E.Key = Key;
-  E.Bytes = artifactBytes(*Art);
-  E.Ver.Art = std::move(Art);
-  Impl &I = shardFor(Key);
-  Impl::Lru Dead;
-  std::lock_guard<std::mutex> G(I.M);
-  I.insert(Impl::Kind::Program, Key, std::move(E), ShardBudget, Dead);
 }
 
 std::optional<VerifiedModule>
 AdmissionCache::lookupVerified(const std::vector<uint8_t> &Bytes) {
   OBS_SPAN("cache_probe");
-  serial::ModuleHash Key = BytesKey(Bytes);
+  ContentKey Key = BytesKey(Bytes);
   Impl &I = shardFor(Key);
   std::lock_guard<std::mutex> G(I.M);
-  auto It = I.Verified.find(Key);
-  if (It == I.Verified.end() || It->second->Input != Bytes) {
+  auto It = I.Index.find(Key);
+  if (It == I.Index.end() || It->second->Input != Bytes) {
     ++I.St.ProgramMisses;
     return std::nullopt;
   }
@@ -356,29 +262,27 @@ AdmissionCache::lookupVerified(const std::vector<uint8_t> &Bytes) {
 void AdmissionCache::storeVerified(const std::vector<uint8_t> &Bytes,
                                    VerifiedModule V) {
   OBS_SPAN("cache_store");
+  // Store-failure seam: a dropped store degrades to uncached admission —
+  // the artifact is simply rebuilt on the next submission.
   if (RW_FAULT_POINT(support::fault::Seam::CacheStore))
     return;
   if (!V.Art)
     return;
-  serial::ModuleHash Key = BytesKey(Bytes);
   Impl::Entry E;
-  E.K = Impl::Kind::Verified;
-  E.Key = Key;
+  E.Key = BytesKey(Bytes);
+  E.Input = Bytes;
   E.Bytes = artifactBytes(*V.Art) + Bytes.size();
   E.Ver = std::move(V);
-  E.Input = Bytes;
-  Impl &I = shardFor(Key);
+  Impl &I = shardFor(E.Key);
   Impl::Lru Dead;
   std::lock_guard<std::mutex> G(I.M);
-  I.insert(Impl::Kind::Verified, Key, std::move(E), ShardBudget, Dead);
+  I.insert(std::move(E), ShardBudget, Dead);
 }
 
 CacheStats AdmissionCache::stats() const {
   CacheStats Out;
   for (const std::unique_ptr<Impl> &I : Sh) {
     std::lock_guard<std::mutex> G(I->M);
-    Out.CheckHits += I->St.CheckHits;
-    Out.CheckMisses += I->St.CheckMisses;
     Out.ProgramHits += I->St.ProgramHits;
     Out.ProgramMisses += I->St.ProgramMisses;
     Out.Evictions += I->St.Evictions;
@@ -400,79 +304,8 @@ void AdmissionCache::clear() {
     Impl::Lru Dead;
     std::lock_guard<std::mutex> G(I->M);
     Dead.swap(I->Recency);
-    I->Checks.clear();
-    I->Programs.clear();
-    I->Verified.clear();
+    I->Index.clear();
     I->St.Bytes = 0;
     I->St.Entries = 0;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Cached batch admission (the typing::checkModules overload)
-//===----------------------------------------------------------------------===//
-
-std::vector<Status>
-rw::typing::checkModules(std::span<const ir::Module *const> Mods,
-                         support::ThreadPool &Pool,
-                         cache::AdmissionCache *Cache) {
-  if (!Cache)
-    return checkModules(Mods, Pool);
-
-  // Umbrella over the whole memoized batch — keying, probes, the actual
-  // check of the misses, and verdict assembly — so a trace attributes
-  // admission time that is cache bookkeeping rather than checking.
-  OBS_SPAN("check_batch_cached", Mods.size());
-  size_t N = Mods.size();
-  std::vector<serial::ModuleHash> Keys(N);
-  for (size_t I = 0; I < N; ++I)
-    Keys[I] = serial::moduleHash(*Mods[I]);
-
-  // Probe in input order (so stats are deterministic), deduplicating
-  // identical content *within* the batch: a module submitted twice is
-  // checked once and both submissions report the same diagnostics.
-  std::vector<std::optional<CheckResult>> Hits(N);
-  std::unordered_map<serial::ModuleHash, size_t, KeyHash> FirstMiss;
-  std::vector<const ir::Module *> MissMods;
-  std::vector<serial::ModuleHash> MissKeys;
-  std::vector<size_t> MissSlot(N, SIZE_MAX); ///< Index into MissMods.
-  for (size_t I = 0; I < N; ++I) {
-    auto Dup = FirstMiss.find(Keys[I]);
-    if (Dup != FirstMiss.end()) {
-      MissSlot[I] = Dup->second;
-      continue;
-    }
-    Hits[I] = Cache->lookupCheck(Keys[I]);
-    if (!Hits[I]) {
-      FirstMiss.emplace(Keys[I], MissMods.size());
-      MissSlot[I] = MissMods.size();
-      MissMods.push_back(Mods[I]);
-      MissKeys.push_back(Keys[I]);
-    }
-  }
-
-  std::vector<Status> MissOut;
-  if (!MissMods.empty()) {
-    MissOut = checkModules(MissMods, Pool);
-    for (size_t J = 0; J < MissMods.size(); ++J) {
-      CheckResult R;
-      R.Ok = MissOut[J].ok();
-      if (!R.Ok)
-        R.Diagnostics = MissOut[J].error().message();
-      Cache->storeCheck(MissKeys[J], std::move(R));
-    }
-  }
-
-  std::vector<Status> Out;
-  Out.reserve(N);
-  for (size_t I = 0; I < N; ++I) {
-    if (Hits[I]) {
-      Out.push_back(Hits[I]->Ok ? Status::success()
-                                : Status(Error(Hits[I]->Diagnostics)));
-      continue;
-    }
-    const Status &S = MissOut[MissSlot[I]];
-    Out.push_back(S.ok() ? Status::success() : Status(Error(S.error().message())));
-  }
-  return Out;
 }

@@ -8,31 +8,27 @@
 /// The admission-server memoization layer (DESIGN.md §8): real traffic is
 /// heavily repetitive — the same library modules are submitted over and
 /// over — yet every submission re-pays check + lower + translate. The
-/// arena assigns every type a Merkle hash, so admission results are
-/// naturally content-addressable; this cache keys them by
-/// serial::moduleHash (arena Merkle hashes ⊕ instruction-stream hash) and
-/// memoizes:
+/// cache has one namespace, keyed by exact content: a byte string maps to
+/// the lowered artifact (the Wasm module, runtime/GC metadata and the
+/// flat bytecode from exec::translate) built from it. Two kinds of byte
+/// string are stored:
 ///
-///   * per module — the check verdict plus its exact diagnostics bytes
-///     (a warm re-check returns byte-identical errors), via the
-///     typing::checkModules overload declared in typing/Checker.h;
-///   * per program (an ordered link set) — the whole lowered artifact:
-///     the Wasm module, runtime/GC metadata, and the flat bytecode from
-///     exec::translate, so a warm resubmission through
-///     link::instantiateLowered (LinkOptions::Cache) skips straight to
-///     instantiation on either engine;
-///   * per verified byte string — the exact RWBM bytes ingest::admit
-///     accepted, with their lowered artifact and the module counts
-///     ingest::Limits caps. A resubmission of the same bytes skips
-///     reading, checking and hashing the module. Every hit compares the
-///     full stored bytes, so a key collision degrades to a miss.
+///   * the exact RWBM bytes ingest::admit accepted, with the module
+///     counts ingest::Limits caps. A resubmission of the same bytes skips
+///     reading, checking and lowering;
+///   * the link-set key of link::instantiateLowered (LinkOptions::Cache):
+///     the tag "RWLS" followed by every module's serial::write bytes in
+///     link order. ingest::admit rejects that tag as bad magic before it
+///     probes, so these entries are never served to it.
 ///
-/// Entries hold no arena nodes (verdicts are strings, artifacts are pure
-/// Wasm), so cached results survive TypeArena rollback and need no
-/// invalidation: the key *is* the content. Thread-safe (mutex per shard;
-/// probes copy shared handles out); artifacts are handed out as
-/// shared_ptr<const ...>, so eviction never invalidates a running
-/// instance. Capacity is a byte budget with LRU eviction.
+/// Every hit compares the full stored bytes, so a collision of the fast
+/// key hash degrades to a miss: no hit can serve an artifact built from
+/// different content. Entries hold no arena nodes (artifacts are pure
+/// Wasm), so they survive TypeArena rollback and need no invalidation.
+/// Thread-safe (mutex per shard; probes copy shared handles out);
+/// artifacts are handed out as shared_ptr<const ...>, so eviction never
+/// invalidates a running instance. Capacity is a byte budget with LRU
+/// eviction.
 ///
 /// Sharding: the default single shard is one mutex + one global LRU —
 /// exact global recency, the right trade for benches and small pools. A
@@ -50,22 +46,12 @@
 
 #include "exec/Translate.h"
 #include "lower/Lower.h"
-#include "serial/Serial.h"
 
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 namespace rw::cache {
-
-/// A memoized per-module admission verdict. Diagnostics holds the exact
-/// error bytes of the failed check (empty on success), so replaying a hit
-/// reproduces the sequential checker's output byte for byte.
-struct CheckResult {
-  bool Ok = false;
-  std::string Diagnostics;
-};
 
 /// The whole-program artifact of the shipping path: one lowered Wasm
 /// module plus its flat-bytecode translation. Flat.Source points at
@@ -75,9 +61,9 @@ struct LoweredArtifact {
   exec::FlatModule Flat;
 };
 
-/// What the verified-bytes index serves: the artifact of one admitted
-/// RWBM module, plus its function, global and table-entry counts so a hit
-/// can re-apply the caller's ingest::Limits.
+/// What the cache serves for a byte string: its artifact, plus (for
+/// admitted RWBM bytes) the module's function, global and table-entry
+/// counts so a hit can re-apply the caller's ingest::Limits.
 struct VerifiedModule {
   std::shared_ptr<const LoweredArtifact> Art;
   uint64_t Funcs = 0;
@@ -90,21 +76,27 @@ struct VerifiedModule {
 /// nodes — DESIGN.md §8), consistent with what eviction
 /// accounts against the budget.
 struct CacheStats {
-  uint64_t CheckHits = 0;
-  uint64_t CheckMisses = 0;
-  uint64_t ProgramHits = 0;   ///< Program-key and verified-bytes hits.
-  uint64_t ProgramMisses = 0; ///< Program-key and verified-bytes misses.
+  uint64_t ProgramHits = 0;   ///< Lookups served (admitted bytes, link sets).
+  uint64_t ProgramMisses = 0; ///< Lookups not served.
   uint64_t Evictions = 0;
   uint64_t Bytes = 0;   ///< Resident entry bytes.
   uint64_t Entries = 0; ///< Resident entry count.
-
-  uint64_t hits() const { return CheckHits + ProgramHits; }
-  uint64_t misses() const { return CheckMisses + ProgramMisses; }
 };
 
-/// The content key of an ordered link set: module hashes folded in link
-/// order (order matters — it decides import shadowing).
-serial::ModuleHash programKey(const std::vector<const ir::Module *> &Mods);
+/// The 128-bit hash a byte string is indexed under; a hit still compares
+/// the full bytes.
+struct ContentKey {
+  uint64_t Hi = 0;
+  uint64_t Lo = 0;
+
+  bool operator==(const ContentKey &O) const = default;
+};
+
+/// The cache key of an ordered link set: "RWLS", then each module's
+/// serial::write bytes in link order (order decides import shadowing).
+/// Each RWBM header carries its payload length, so the concatenation is
+/// unambiguous.
+std::vector<uint8_t> linkSetKey(const std::vector<const ir::Module *> &Mods);
 
 class AdmissionCache {
 public:
@@ -120,30 +112,20 @@ public:
   AdmissionCache(const AdmissionCache &) = delete;
   AdmissionCache &operator=(const AdmissionCache &) = delete;
 
-  /// Check-verdict memoization. lookup refreshes LRU recency and counts a
-  /// hit or miss; store inserts (or refreshes) and may evict.
-  std::optional<CheckResult> lookupCheck(const serial::ModuleHash &Key);
-  void storeCheck(const serial::ModuleHash &Key, CheckResult R);
-
-  /// Lowered-program memoization. The returned artifact is immutable and
-  /// stays alive independently of eviction.
-  std::shared_ptr<const LoweredArtifact>
-  lookupProgram(const serial::ModuleHash &Key);
-  void storeProgram(const serial::ModuleHash &Key,
-                    std::shared_ptr<const LoweredArtifact> Art);
-
-  /// Verified-bytes memoization. lookup returns the entry whose stored
-  /// bytes equal \p Bytes exactly, counting a program hit or miss; store
-  /// charges the entry its artifact plus \p Bytes. Only bytes that were
-  /// fully admitted may be stored. When two byte strings share a key, the
-  /// resident one stays and the other is never served.
+  /// lookup returns the entry whose stored bytes equal \p Bytes exactly,
+  /// refreshing its LRU recency and counting a program hit or miss. store
+  /// charges the entry its artifact plus \p Bytes and may evict. Only
+  /// bytes whose artifact was fully built and checked may be stored; the
+  /// returned artifact is immutable and outlives eviction. When two byte
+  /// strings share a key, the resident one stays and the other is never
+  /// served.
   std::optional<VerifiedModule>
   lookupVerified(const std::vector<uint8_t> &Bytes);
   void storeVerified(const std::vector<uint8_t> &Bytes, VerifiedModule V);
 
-  /// Replaces the key function of the verified-bytes index, so a test can
-  /// force distinct byte strings onto one key. Call before any use.
-  using BytesKeyFn = serial::ModuleHash (*)(const std::vector<uint8_t> &);
+  /// Replaces the key function of the index, so a test can force
+  /// distinct byte strings onto one key. Call before any use.
+  using BytesKeyFn = ContentKey (*)(const std::vector<uint8_t> &);
   void setBytesKeyForTesting(BytesKeyFn Fn) { BytesKey = Fn; }
 
   uint64_t byteBudget() const { return Budget; }
@@ -157,7 +139,7 @@ public:
 
 private:
   struct Impl;
-  Impl &shardFor(const serial::ModuleHash &Key);
+  Impl &shardFor(const ContentKey &Key);
   const uint64_t Budget;
   const unsigned NumShards;
   const uint64_t ShardBudget;

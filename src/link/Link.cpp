@@ -11,7 +11,6 @@
 #include "ir/Print.h"
 #include "obs/Obs.h"
 #include "ir/TypeOps.h"
-#include "support/ThreadPool.h"
 #include "typing/Checker.h"
 #include "wasm/Validate.h"
 
@@ -383,49 +382,25 @@ rw::link::lowerArtifact(const std::vector<const ir::Module *> &Mods,
   // The import-resolution phase is shared with instantiate()
   // (link/Resolve.h): the batch index decides providers, shadowing, and
   // the canonical-pointer import type checks; lowerProgram consumes the
-  // Resolution instead of re-resolving. The type check runs exactly
-  // once: checkModules records the per-module InfoMaps (the type
-  // information §6's compiler consumes) and hands them to lowerProgram,
-  // which then performs zero checkModule calls. With a pool, checking
-  // is function-parallel and body lowering (module, function)-parallel
-  // — both deterministic for any pool size.
+  // Resolution instead of re-resolving. It also owns the type check: it
+  // uses the caller's InfoMaps, or checks once itself (over the pool when
+  // there is one).
   Expected<std::vector<ResolvedModule>> Resolved = resolveImports(
       Mods, ResolveOptions{Opts.Resolution, /*AllowUnresolvedFuncs=*/true});
   if (!Resolved)
     return Resolved.error();
-  std::vector<typing::InfoMap> OwnInfos;
-  const std::vector<typing::InfoMap> *Infos = Opts.Infos;
-  if (Infos) {
-    if (Infos->size() != Mods.size())
-      return Error("InfoMap hand-off does not match the module list");
-  } else if (Opts.Pool) {
-    std::vector<Status> Checks =
-        typing::checkModules(Mods, *Opts.Pool, &OwnInfos);
-    for (size_t I = 0; I < Checks.size(); ++I)
-      if (!Checks[I])
-        return Error("module '" + Mods[I]->Name + "': " +
-                     Checks[I].error().message());
-    Infos = &OwnInfos;
-  }
-  // With neither hand-off nor pool, Infos stays null and lowerProgram's
-  // own sequential checkModule fallback runs — one check either way.
   lower::LowerOptions LO;
   LO.Resolved = &*Resolved;
-  LO.Infos = Infos;
+  LO.Infos = Opts.Infos;
   LO.Pool = Opts.Pool;
   Expected<lower::LoweredProgram> LP = lower::lowerProgram(Mods, LO);
   if (!LP)
     return LP.error();
   auto A = std::make_shared<cache::LoweredArtifact>();
   A->Program = LP.take();
-  // A memoized artifact is served to *every* later caller, including
-  // ones that ask for validation — so with a cache in play, validation
-  // always runs before the store (ValidateWasm=false only skips it for
-  // uncached one-shot instantiation). Warm hits are therefore always
-  // validated artifacts.
-  if (Opts.ValidateWasm || Opts.Cache)
-    if (Status S = wasm::validate(A->Program.Module); !S)
-      return S.error().addContext("lowered module validation");
+  // Every artifact is validated, so cache hits serve validated artifacts.
+  if (Status S = wasm::validate(A->Program.Module); !S)
+    return S.error().addContext("lowered module validation");
   // Translate once here (not lazily in the engine) so the memoized
   // artifact serves both engines on every later hit; validated lowered
   // modules always translate. Without a cache, only the flat-bytecode
@@ -454,7 +429,7 @@ rw::link::instantiateArtifact(std::shared_ptr<const cache::LoweredArtifact> Art,
     FI->adoptPretranslated(
         std::shared_ptr<const exec::FlatModule>(Art, &Art->Flat));
     if (Opts.JitThreshold)
-      FI->setTierPolicy(*Opts.JitThreshold, Opts.JitBackground);
+      FI->setTierPolicy(*Opts.JitThreshold);
     Inst = std::move(FI);
   } else {
     Inst = wasm::createInstance(Art->Program.Module, Opts.Engine);
@@ -474,34 +449,38 @@ rw::link::instantiateArtifact(std::shared_ptr<const cache::LoweredArtifact> Art,
 Expected<LoweredInstance>
 rw::link::instantiateLowered(const std::vector<const ir::Module *> &Mods,
                              const LinkOptions &Opts) {
-  // Warm path: the whole link set is content-addressed; a hit skips
-  // checking, resolution, lowering, validation, and flat translation.
-  serial::ModuleHash Key;
-  if (Opts.Cache)
-    Key = cache::programKey(Mods);
+  // Warm path: the whole link set is keyed by its exact content; a hit
+  // (which compares every byte) skips checking, resolution, lowering,
+  // validation, and flat translation.
+  std::vector<uint8_t> Key;
+  uint64_t KeyHash = 0;
+  if (Opts.Cache) {
+    OBS_SPAN("link_set_key", Mods.size());
+    Key = cache::linkSetKey(Mods);
+    KeyHash = support::fnv1a(Key.data(), Key.size());
+  }
   // Head sampling for direct callers: inside ingest::admit the thread
   // already carries the admission's sampling decision; a bare
   // instantiateLowered with a cache gets its own deterministic decision
-  // from the program content key (same modules → same decision, any
-  // thread or pool size). Must precede OBS_SPAN so the scope outlives
-  // the span's destructor-time recording check.
+  // from the link-set key (same modules → same decision, any thread or
+  // pool size). Must precede OBS_SPAN so the scope outlives the span's
+  // destructor-time recording check.
   std::optional<obs::TraceSampleScope> SampleScope;
   if (Opts.Cache && !obs::traceSampleActive())
-    SampleScope.emplace(obs::traceSampleSelect(Key.Hi ^ Key.Lo));
+    SampleScope.emplace(obs::traceSampleSelect(KeyHash));
   // Umbrella span for the whole admission (the per-phase spans nest
   // inside it in the trace).
   OBS_SPAN("admission", Mods.size());
-  std::shared_ptr<const cache::LoweredArtifact> Art;
+  std::optional<cache::VerifiedModule> Hit;
   if (Opts.Cache)
-    Art = Opts.Cache->lookupProgram(Key);
-  if (!Art) {
-    Expected<std::shared_ptr<const cache::LoweredArtifact>> Cold =
-        lowerArtifact(Mods, Opts);
-    if (!Cold)
-      return Cold.error();
-    Art = Cold.take();
-    if (Opts.Cache)
-      Opts.Cache->storeProgram(Key, Art);
-  }
-  return instantiateArtifact(std::move(Art), Opts);
+    Hit = Opts.Cache->lookupVerified(Key);
+  if (Hit)
+    return instantiateArtifact(std::move(Hit->Art), Opts);
+  Expected<std::shared_ptr<const cache::LoweredArtifact>> Art =
+      lowerArtifact(Mods, Opts);
+  if (!Art)
+    return Art.error();
+  if (Opts.Cache)
+    Opts.Cache->storeVerified(Key, {*Art});
+  return instantiateArtifact(Art.take(), Opts);
 }

@@ -60,25 +60,19 @@ struct LinkOptions {
   /// FlatInstance::NeverTier disables tiering. Unset keeps the engine
   /// default (Jit tiers eagerly; Flat honors RW_JIT_THRESHOLD).
   std::optional<uint64_t> JitThreshold;
-  /// Run threshold-triggered tier-up compiles on a background thread.
-  bool JitBackground = false;
-  /// Validate the lowered Wasm module before instantiation. With a Cache
-  /// set this is effectively always on: an artifact is validated before
-  /// it is stored (it will be served to every later caller), so warm
-  /// hits are always validated artifacts.
-  bool ValidateWasm = true;
   /// Import resolution strategy (see link/Resolve.h).
   ResolveMode Resolution = ResolveMode::Batch;
   /// Optional content-addressed admission cache (src/cache/). When set,
-  /// instantiateLowered keys the whole link set by module content hashes:
-  /// a warm resubmission skips type checking, lowering, validation, and
-  /// flat translation entirely and goes straight to instantiation of the
-  /// cached artifact. Not owned; must outlive the call.
+  /// instantiateLowered keys the whole link set by its exact content
+  /// (cache::linkSetKey): a resubmission of the same modules skips type
+  /// checking, lowering, validation, and flat translation entirely and
+  /// goes straight to instantiation of the cached artifact. Not owned;
+  /// must outlive the call.
   cache::AdmissionCache *Cache = nullptr;
-  /// Optional thread pool for the *cold* lowered path: batch checking
-  /// runs function-parallel (typing::checkModules) and body lowering
-  /// (module, function)-parallel (lower::LowerOptions::Pool), both with
-  /// deterministic, pool-size-independent output. Not owned.
+  /// Optional thread pool for the *cold* lowered path, passed on as
+  /// lower::LowerOptions::Pool: checking (when no Infos are handed over)
+  /// runs function-parallel and body lowering (module, function)-parallel,
+  /// both with deterministic, pool-size-independent output. Not owned.
   support::ThreadPool *Pool = nullptr;
   /// Per-module InfoMaps from a typing::checkModules(…, &Infos) the caller
   /// already ran (an admission server checks for verdicts first): the cold
@@ -127,16 +121,17 @@ struct LoweredInstance {
 /// Type-checks, links, and lowers \p Mods (modules in link order, like
 /// instantiate), then instantiates the lowered Wasm module on the
 /// engine chosen in \p Opts. Module pointers must outlive the result.
-/// With Opts.Cache this is: probe the program key, lowerArtifact on a
+/// With Opts.Cache this is: probe the link-set key, lowerArtifact on a
 /// miss and store it, then instantiateArtifact.
 Expected<LoweredInstance>
 instantiateLowered(const std::vector<const ir::Module *> &Mods,
                    const LinkOptions &Opts = LinkOptions());
 
 /// The cold half of instantiateLowered, with no cache probe or store:
-/// resolves, lowers, validates and translates \p Mods into an artifact.
-/// With Opts.Cache set the artifact is always validated and translated,
-/// so it can serve every engine. The artifact owns no arena nodes.
+/// resolves, lowers (checking unless Opts.Infos hands the checker's work
+/// over), validates and translates \p Mods into an artifact. With
+/// Opts.Cache set the artifact is always translated, so it can serve
+/// every engine. The artifact owns no arena nodes.
 Expected<std::shared_ptr<const cache::LoweredArtifact>>
 lowerArtifact(const std::vector<const ir::Module *> &Mods,
               const LinkOptions &Opts);

@@ -215,11 +215,9 @@ public:
   /// Caller-provided import resolution (link/Resolve.h), or null; run()
   /// resolves itself when null. Not owned.
   const std::vector<link::ResolvedModule> *Resolved;
-  /// Per-module checker annotations: either handed over by the caller
-  /// (typing::checkModules — the single-check cold path) or produced by
-  /// run()'s own checkModule loop into OwnInfos. Not owned when external.
+  /// Per-module checker annotations, one map per module (lowerProgram
+  /// checks when the caller handed none over). Not owned.
   const std::vector<typing::InfoMap> *Infos;
-  std::vector<typing::InfoMap> OwnInfos;
   /// Optional pool for (module, function)-parallel body lowering.
   support::ThreadPool *Pool;
   /// (module, RichWasm global idx) → (base Wasm global, component reps).
@@ -1680,21 +1678,6 @@ Status FuncLowering::lowerInst(const Inst &I, std::vector<WInst> &O,
 //===----------------------------------------------------------------------===//
 
 Expected<LoweredProgram> ProgramLowering::run() {
-  if (Infos) {
-    // Single-check cold path: the caller already ran typing::checkModules
-    // with InfoMap recording (same process, same instruction pointers), so
-    // lowering performs zero checkModule calls.
-    if (Infos->size() != Mods.size())
-      return Error("InfoMap hand-off does not match the module list");
-  } else {
-    OwnInfos.resize(Mods.size());
-    for (size_t I = 0; I < Mods.size(); ++I)
-      if (Status S = typing::checkModule(*Mods[I], &OwnInfos[I]); !S)
-        return Error("module '" + Mods[I]->Name + "': " +
-                     S.error().message());
-    Infos = &OwnInfos;
-  }
-
   // Pass 1: run imports through the shared batch resolution phase
   // (link/Resolve.h) — the same provider selection, shadowing, and
   // canonical-pointer type checks as link::instantiate. Function imports
@@ -2092,22 +2075,43 @@ rw::lower::lowerProgram(const std::vector<const Module *> &Mods,
   // rejection of the admission.
   if (RW_FAULT_POINT(rw::support::fault::Seam::LowerAlloc))
     return Error("injected allocation failure in lowerProgram");
-  OBS_SPAN("lower", Mods.size());
-  // Lowering checks modules (typing::checkModule, whose typeEquals is a
-  // pointer comparison — or consumes InfoMaps recorded over canonical
-  // nodes) and rewrites their types, so all modules of one program must
+  // Lowering consumes InfoMaps recorded over canonical nodes (or checks
+  // with typing::checkModule, whose typeEquals is a pointer comparison)
+  // and rewrites the modules' types, so all modules of one program must
   // share one arena — enforce it, then intern everything the lowering
   // builds into that shared arena.
-  std::optional<ir::ArenaScope> Scope;
-  if (!Mods.empty() && Mods.front()->Arena) {
-    const std::shared_ptr<ir::TypeArena> &Shared = Mods.front()->Arena;
+  const ir::TypeArena *Shared =
+      Mods.empty() ? nullptr : Mods.front()->Arena.get();
+  if (Shared)
     for (const Module *M : Mods)
-      if (M->Arena && M->Arena.get() != Shared.get())
+      if (M->Arena && M->Arena.get() != Shared)
         return Error("modules '" + Mods.front()->Name + "' and '" + M->Name +
                      "' use different type arenas; lowered programs must "
                      "intern their types into one shared arena");
-    Scope.emplace(*Shared);
+  // The one place type information reaches lowering: the caller's
+  // InfoMaps, or a single check here, before (and outside) the lower span.
+  LowerOptions O = Opts;
+  std::vector<typing::InfoMap> OwnInfos;
+  if (O.Infos) {
+    if (O.Infos->size() != Mods.size())
+      return Error("InfoMap hand-off does not match the module list");
+  } else {
+    OwnInfos.resize(Mods.size());
+    std::vector<Status> Checks;
+    if (O.Pool)
+      Checks = typing::checkModules(Mods, *O.Pool, &OwnInfos);
+    for (size_t I = 0; I < Mods.size(); ++I)
+      if (Status S = O.Pool ? std::move(Checks[I])
+                            : typing::checkModule(*Mods[I], &OwnInfos[I]);
+          !S)
+        return Error("module '" + Mods[I]->Name + "': " +
+                     S.error().message());
+    O.Infos = &OwnInfos;
   }
-  ProgramLowering PL(Mods, Opts);
+  OBS_SPAN("lower", Mods.size());
+  std::optional<ir::ArenaScope> Scope;
+  if (Shared)
+    Scope.emplace(*Mods.front()->Arena);
+  ProgramLowering PL(Mods, O);
   return PL.run();
 }

@@ -67,14 +67,17 @@ struct LowerOptions {
   /// Per-module checker InfoMaps from typing::checkModules(…, &Infos) —
   /// same process, same instruction pointers (the map key is node
   /// identity). When set (size must match Mods), lowerProgram performs
-  /// *zero* checkModule calls; when null it checks each module itself.
+  /// *zero* checks; when null it checks the modules itself, once
+  /// (typing::checkModules over Pool when set, checkModule otherwise).
   /// The maps hold borrowed TypeRefs: the modules' arena must stay alive
   /// and un-rolled-back for the duration of the call.
   const std::vector<typing::InfoMap> *Infos = nullptr;
-  /// When set, function bodies are lowered (module, function)-parallel
-  /// over this pool with deterministic index-ordered assembly: the lowered
-  /// module is byte-identical for any pool size, and a failure reports the
-  /// lowest-indexed failing function — exactly the sequential error.
+  /// When set, checking runs function-parallel and function bodies are
+  /// lowered (module, function)-parallel over this pool, both with
+  /// deterministic index-ordered assembly: the lowered module is
+  /// byte-identical for any pool size, and a failure reports the
+  /// lowest-indexed failing module or function — exactly the sequential
+  /// error.
   support::ThreadPool *Pool = nullptr;
 };
 
@@ -89,15 +92,7 @@ struct LowerOptions {
 /// module provides becomes a Wasm import satisfiable by the host.
 Expected<LoweredProgram>
 lowerProgram(const std::vector<const ir::Module *> &Mods,
-             const LowerOptions &Opts);
-
-inline Expected<LoweredProgram>
-lowerProgram(const std::vector<const ir::Module *> &Mods,
-             const std::vector<link::ResolvedModule> *Resolved = nullptr) {
-  LowerOptions Opts;
-  Opts.Resolved = Resolved;
-  return lowerProgram(Mods, Opts);
-}
+             const LowerOptions &Opts = {});
 
 } // namespace rw::lower
 

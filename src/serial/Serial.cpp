@@ -4,14 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// One structural walk (walkModule below) drives both serialization and
-// content hashing through an emitter interface: the write emitter assigns
-// type-table indices on first encounter (registering children before
-// parents, so the table is topologically ordered) and streams varints; the
-// hash emitter folds each type reference's precomputed Merkle hash in O(1)
-// without descending. Keeping a single walk is what guarantees the
-// cache-key invariant: moduleHash(A) == moduleHash(B) exactly when
-// write(A) == write(B) (modulo 128-bit collisions).
+// One structural walk (walkModule below) streams a module through the
+// write emitter, which assigns type-table indices on first encounter
+// (registering children before parents, so the table is topologically
+// ordered) and streams varints.
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +53,6 @@ enum class Cat : uint8_t { Size, Pre, Heap, Fun };
 constexpr unsigned MaxInstDepth = 2048;
 
 using support::fnv1a;
-using support::mix64;
 
 //===----------------------------------------------------------------------===//
 // Low-level buffer writers (used for both node records and the body)
@@ -329,58 +324,10 @@ uint32_t WriteEmitter::addFun(const FunTypeRef &F) {
 }
 
 //===----------------------------------------------------------------------===//
-// Hash emitter: same walk, O(1) per type reference
+// The module walk
 //===----------------------------------------------------------------------===//
 
-class HashEmitter {
-public:
-  uint64_t A = 0x9e3779b97f4a7c15ull;
-  uint64_t B = 0xc2b2ae3d27d4eb4full;
-
-  void mix(uint64_t V) {
-    A = mix64(A ^ V);
-    B = mix64(B * 0x100000001b3ull + V);
-  }
-  void u(uint64_t V) { mix(V * 2 + 1); }
-  void str(const std::string &S) {
-    mix(S.size());
-    mix(fnv1a(reinterpret_cast<const uint8_t *>(S.data()), S.size()));
-  }
-  void qual(const Qual &Q) {
-    mix(0x51 ^ (Q.isVar() ? 2 + uint64_t(Q.varIndex())
-                          : (Q.isLinConst() ? 1 : 0)));
-  }
-  void loc(const Loc &L) {
-    switch (L.kind()) {
-    case Loc::Kind::Var:
-      mix(0x100 + L.varIndex());
-      break;
-    case Loc::Kind::Concrete:
-      mix(0x200 + (L.mem() == MemKind::Lin ? 0 : 1));
-      mix(L.addr());
-      break;
-    case Loc::Kind::Skolem:
-      mix(0x300);
-      mix(L.skolemId());
-      break;
-    }
-  }
-  // Type nodes carry structural (Merkle) hashes, stable across arenas.
-  void pre(const PretypeRef &P) { mix(P->hashValue()); }
-  void heap(const HeapTypeRef &H) { mix(H->hashValue()); }
-  void fun(const FunTypeRef &F) { mix(F->hashValue()); }
-  void size(const SizeRef &S) { mix(S ? S->hashValue() : 0x77); }
-  void type(const Type &T) {
-    pre(T.P);
-    qual(T.Q);
-  }
-};
-
-//===----------------------------------------------------------------------===//
-// The shared module walk
-//===----------------------------------------------------------------------===//
-
-template <class Em> void putArrow(Em &E, const ArrowType &A) {
+void putArrow(WriteEmitter &E, const ArrowType &A) {
   E.u(A.Params.size());
   for (const Type &T : A.Params)
     E.type(T);
@@ -389,8 +336,7 @@ template <class Em> void putArrow(Em &E, const ArrowType &A) {
     E.type(T);
 }
 
-template <class Em>
-void putEffects(Em &E, const std::vector<LocalEffect> &Fx) {
+void putEffects(WriteEmitter &E, const std::vector<LocalEffect> &Fx) {
   E.u(Fx.size());
   for (const LocalEffect &F : Fx) {
     E.u(F.LocalIdx);
@@ -398,7 +344,7 @@ void putEffects(Em &E, const std::vector<LocalEffect> &Fx) {
   }
 }
 
-template <class Em> void putIndexArgs(Em &E, const std::vector<Index> &Args) {
+void putIndexArgs(WriteEmitter &E, const std::vector<Index> &Args) {
   E.u(Args.size());
   for (const Index &I : Args) {
     E.u(static_cast<uint64_t>(I.K));
@@ -419,9 +365,9 @@ template <class Em> void putIndexArgs(Em &E, const std::vector<Index> &Args) {
   }
 }
 
-template <class Em> void putInsts(Em &E, const InstVec &Is);
+void putInsts(WriteEmitter &E, const InstVec &Is);
 
-template <class Em> void putInst(Em &E, const Inst &I) {
+void putInst(WriteEmitter &E, const Inst &I) {
   E.u(static_cast<uint64_t>(I.kind()));
   switch (I.kind()) {
   case InstKind::NumConst: {
@@ -599,13 +545,13 @@ template <class Em> void putInst(Em &E, const Inst &I) {
   }
 }
 
-template <class Em> void putInsts(Em &E, const InstVec &Is) {
+void putInsts(WriteEmitter &E, const InstVec &Is) {
   E.u(Is.size());
   for (const InstRef &I : Is)
     putInst(E, *I);
 }
 
-template <class Em> void walkModule(Em &E, const ir::Module &M) {
+void walkModule(WriteEmitter &E, const ir::Module &M) {
   E.str(M.Name);
 
   E.u(M.Funcs.size());
@@ -1746,15 +1692,4 @@ rw::serial::readPrivate(const std::vector<uint8_t> &Bytes) {
   if (!Len)
     return Len.error();
   return parsePayload(Bytes, *Len, std::make_shared<TypeArena>());
-}
-
-serial::ModuleHash rw::serial::moduleHash(const ir::Module &M) {
-  OBS_SPAN("module_hash");
-  static obs::Counter ModulesHashed("serial.modules_hashed");
-  ModulesHashed.inc();
-  HashEmitter E;
-  walkModule(E, M);
-  // One final avalanche so prefix-equal modules with different tails
-  // still differ in both words.
-  return ModuleHash{mix64(E.A ^ 0x2545f4914f6cdd1dull), mix64(E.B)};
 }

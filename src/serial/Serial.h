@@ -32,11 +32,8 @@
 /// length fields all produce an Error, never a crash or an allocation
 /// explosion.
 ///
-/// moduleHash() is the admission-cache key (src/cache/): a 128-bit
-/// content hash folding the arena's per-node Merkle hashes (stable
-/// across arenas) with an instruction-stream walk, without serializing.
-/// Two modules share a hash iff — modulo 128-bit collisions — they
-/// serialize to the same bytes.
+/// write() is canonical: one byte string per structural identity, so the
+/// admission cache (src/cache/) keys modules and link sets by these bytes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,20 +71,6 @@ read(const std::vector<uint8_t> &Bytes,
 /// grow a caller's arena. Here a rejected payload's arena dies with the
 /// error, so the second parse would buy nothing.
 Expected<ir::Module> readPrivate(const std::vector<uint8_t> &Bytes);
-
-/// 128-bit module content hash (see file comment). Stable across arenas
-/// and process runs; independent of the interning order.
-struct ModuleHash {
-  uint64_t Hi = 0;
-  uint64_t Lo = 0;
-
-  bool operator==(const ModuleHash &O) const {
-    return Hi == O.Hi && Lo == O.Lo;
-  }
-  bool operator!=(const ModuleHash &O) const { return !(*this == O); }
-};
-
-ModuleHash moduleHash(const ir::Module &M);
 
 } // namespace rw::serial
 

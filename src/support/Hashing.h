@@ -6,9 +6,8 @@
 ///
 /// \file
 /// The 64-bit mixing primitives shared by the link-time export index, the
-/// serialization layer, and the admission cache. One definition, so the
-/// cache's program key can never silently diverge from the per-module
-/// hashes it folds.
+/// serialization checksum, trace sampling, and the admission cache's key
+/// hash.
 ///
 //===----------------------------------------------------------------------===//
 

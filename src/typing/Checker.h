@@ -34,10 +34,6 @@ namespace rw::support {
 class ThreadPool;
 } // namespace rw::support
 
-namespace rw::cache {
-class AdmissionCache;
-} // namespace rw::cache
-
 namespace rw::typing {
 
 /// Operand/result types the checker observed at one instruction, consumed
@@ -116,17 +112,6 @@ std::vector<Status> checkModules(std::span<const ir::Module *const> Mods,
 std::vector<Status> checkModules(std::span<const ir::Module *const> Mods,
                                  support::ThreadPool &Pool,
                                  std::vector<InfoMap> *Infos);
-
-/// Content-addressed batch admission: like checkModules, but each module
-/// is keyed by serial::moduleHash in \p Cache — cache hits (including a
-/// module submitted twice in one batch) skip the check entirely and
-/// replay the memoized verdict with byte-identical diagnostics. A null
-/// cache degrades to the uncached overload. Defined in
-/// cache/AdmissionCache.cpp so the typing layer itself keeps no cache
-/// dependency.
-std::vector<Status> checkModules(std::span<const ir::Module *const> Mods,
-                                 support::ThreadPool &Pool,
-                                 cache::AdmissionCache *Cache);
 
 /// Checks one function against its declared type (module environment
 /// required for calls/globals).

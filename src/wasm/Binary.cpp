@@ -11,6 +11,7 @@
 #include "support/FaultInject.h"
 #include "support/LEB128.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <sstream>
@@ -1264,30 +1265,36 @@ namespace {
 const char *opName(Op K);
 
 void printBody(std::ostringstream &OS, const WFunc &F) {
-  unsigned Indent = 2;
-  auto Pad = [&] { return std::string(Indent * 2, ' '); };
+  // Two spaces per nesting level, capped so that the output stays linear
+  // in the instruction count however deep the nest.
+  constexpr unsigned MaxDepth = 32;
+  static const std::string Spaces(2 * (2 + MaxDepth), ' ');
+  unsigned Depth = 0;
+  auto Pad = [&]() -> std::ostream & {
+    return OS.write(Spaces.data(), 2 * (2 + std::min(Depth, MaxDepth)));
+  };
   for (const WInst &I : F.Body) {
     switch (I.K) {
     case Op::Block:
     case Op::Loop:
     case Op::If:
-      OS << Pad() << opName(I.K) << "\n";
-      ++Indent;
+      Pad() << opName(I.K) << "\n";
+      ++Depth;
       break;
     case Op::Else:
-      --Indent;
-      OS << Pad() << "else\n";
-      ++Indent;
+      Depth -= Depth > 0;
+      Pad() << "else\n";
+      ++Depth;
       break;
     case Op::End:
-      --Indent;
-      OS << Pad() << "end\n";
+      Depth -= Depth > 0;
+      Pad() << "end\n";
       break;
     case Op::I32Const:
-      OS << Pad() << "i32.const " << static_cast<int32_t>(I.U64) << "\n";
+      Pad() << "i32.const " << static_cast<int32_t>(I.U64) << "\n";
       break;
     case Op::I64Const:
-      OS << Pad() << "i64.const " << static_cast<int64_t>(I.U64) << "\n";
+      Pad() << "i64.const " << static_cast<int64_t>(I.U64) << "\n";
       break;
     case Op::Br:
     case Op::BrIf:
@@ -1298,10 +1305,10 @@ void printBody(std::ostringstream &OS, const WFunc &F) {
     case Op::LocalTee:
     case Op::GlobalGet:
     case Op::GlobalSet:
-      OS << Pad() << opName(I.K) << " " << I.U32 << "\n";
+      Pad() << opName(I.K) << " " << I.U32 << "\n";
       break;
     case Op::BrTable: {
-      OS << Pad() << "br_table";
+      Pad() << "br_table";
       for (uint32_t T : F.brTargets(I))
         OS << " " << T;
       OS << " " << I.U32 << "\n";
@@ -1310,9 +1317,9 @@ void printBody(std::ostringstream &OS, const WFunc &F) {
     default: {
       uint8_t C = static_cast<uint8_t>(I.K);
       if (C >= 0x28 && C <= 0x3e)
-        OS << Pad() << opName(I.K) << " offset=" << I.offset() << "\n";
+        Pad() << opName(I.K) << " offset=" << I.offset() << "\n";
       else
-        OS << Pad() << opName(I.K) << "\n";
+        Pad() << opName(I.K) << "\n";
       break;
     }
     }

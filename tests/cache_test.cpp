@@ -4,19 +4,20 @@
 //
 // Pins the content-addressed admission cache contract (DESIGN.md §8):
 //
-//  * check memoization — warm hits replay verdicts with *byte-identical*
-//    diagnostics to a fresh sequential check, for any ThreadPool size
-//    (1/3/8), and identical content inside one batch is checked once;
-//  * program memoization — a warm link::instantiateLowered resubmission
-//    skips straight to instantiation (stats prove the hit) and produces
-//    identical results on both engines, which share one artifact;
+//  * link sets — a warm link::instantiateLowered resubmission skips
+//    straight to instantiation (stats prove the hit) and produces
+//    identical results on both engines, which share one artifact; the
+//    key is the link set's exact content, a forced key collision is a
+//    miss, and a link-set entry is never served to ingest::admit;
+//  * cold link sets — checking on a miss reports the sequential
+//    checker's diagnostics for any pool size and caches nothing;
 //  * LRU byte budget — recency decides eviction, stats account bytes and
 //    evictions exactly, and evicting an artifact never invalidates a
 //    running instance;
 //  * verified bytes — an ingest::admit re-admission is served only for
 //    byte-equal input, even when keys collide, re-applies the caller's
-//    Limits, and the index entry owns and is charged for its artifact;
-//  * thread safety — concurrent probes/stores from the PR 3 pool (the
+//    Limits, and the entry owns and is charged for its artifact;
+//  * thread safety — concurrent probes/stores from the thread pool (the
 //    TSan job runs this binary).
 //
 //===----------------------------------------------------------------------===//
@@ -26,9 +27,12 @@
 #include "bench/Common.h"
 #include "ingest/Ingest.h"
 #include "obs/Obs.h"
+#include "serial/Serial.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 using namespace rw;
 using namespace rw::ir;
@@ -81,97 +85,39 @@ std::pair<ir::Module, ir::Module> linkedPair() {
   return {std::move(Lib), std::move(Client)};
 }
 
-//===----------------------------------------------------------------------===//
-// Check memoization
-//===----------------------------------------------------------------------===//
-
-TEST(Cache, WarmCheckHitsReplayByteIdenticalDiagnostics) {
-  ir::Module Ok = okModule(1), Bad = badModule(1);
-  std::vector<const ir::Module *> Mods = {&Ok, &Bad};
-
-  // Reference verdicts from the sequential checker.
-  Status RefOk = typing::checkModule(Ok);
-  Status RefBad = typing::checkModule(Bad);
-  ASSERT_TRUE(RefOk.ok());
-  ASSERT_FALSE(RefBad.ok());
-
-  cache::AdmissionCache C;
-  support::ThreadPool Pool(3);
-
-  std::vector<Status> Cold = typing::checkModules(Mods, Pool, &C);
-  ASSERT_EQ(Cold.size(), 2u);
-  EXPECT_TRUE(Cold[0].ok());
-  ASSERT_FALSE(Cold[1].ok());
-  EXPECT_EQ(Cold[1].error().message(), RefBad.error().message());
-  EXPECT_EQ(C.stats().CheckMisses, 2u);
-  EXPECT_EQ(C.stats().CheckHits, 0u);
-
-  std::vector<Status> Warm = typing::checkModules(Mods, Pool, &C);
-  EXPECT_TRUE(Warm[0].ok());
-  ASSERT_FALSE(Warm[1].ok());
-  EXPECT_EQ(Warm[1].error().message(), RefBad.error().message());
-  EXPECT_EQ(C.stats().CheckHits, 2u);
-  EXPECT_EQ(C.stats().CheckMisses, 2u);
-
-  // A null cache degrades to the uncached overload.
-  std::vector<Status> Plain = typing::checkModules(
-      Mods, Pool, static_cast<cache::AdmissionCache *>(nullptr));
-  ASSERT_FALSE(Plain[1].ok());
-  EXPECT_EQ(Plain[1].error().message(), RefBad.error().message());
+/// Key function for synthetic entries (keyBytes strings, 16 bytes or
+/// more): the first 16 bytes, read as the key's two words, so a test
+/// picks keys (and so shards) directly.
+cache::ContentKey wordsKey(const std::vector<uint8_t> &B) {
+  cache::ContentKey K;
+  std::memcpy(&K.Hi, B.data(), 8);
+  std::memcpy(&K.Lo, B.data() + 8, 8);
+  return K;
 }
 
-TEST(Cache, IdenticalContentInOneBatchIsCheckedOnce) {
-  // Two distinct Module objects, same content: one miss, one dedup.
-  ir::Module A = okModule(7), B = okModule(7), Other = okModule(9);
-  std::vector<const ir::Module *> Mods = {&A, &B, &Other};
-  cache::AdmissionCache C;
-  support::ThreadPool Pool(3);
-  std::vector<Status> Out = typing::checkModules(Mods, Pool, &C);
-  ASSERT_EQ(Out.size(), 3u);
-  EXPECT_TRUE(Out[0].ok());
-  EXPECT_TRUE(Out[1].ok());
-  EXPECT_TRUE(Out[2].ok());
-  // Only two unique contents were ever probed or checked.
-  EXPECT_EQ(C.stats().CheckMisses, 2u);
-  EXPECT_EQ(C.stats().Entries, 2u);
+/// A 16-byte string that wordsKey maps to {Hi, Lo}, plus \p Pad bytes.
+std::vector<uint8_t> keyBytes(uint64_t Hi, uint64_t Lo, size_t Pad = 0) {
+  std::vector<uint8_t> B(16 + Pad);
+  std::memcpy(B.data(), &Hi, 8);
+  std::memcpy(B.data() + 8, &Lo, 8);
+  return B;
 }
 
-TEST(Cache, WarmHitDeterminismAcrossPoolSizes) {
-  // Batch with successes and failures; every (pool size, warm/cold)
-  // combination must produce byte-identical statuses.
-  std::vector<ir::Module> Store;
-  for (uint32_t I = 0; I < 4; ++I)
-    Store.push_back(okModule(I));
-  for (uint32_t I = 0; I < 3; ++I)
-    Store.push_back(badModule(I));
-  Store.push_back(rwbench::wideModule(6));
-  std::vector<const ir::Module *> Mods;
-  for (ir::Module &M : Store)
-    Mods.push_back(&M);
+/// The artifact synthetic entries store: the cache never looks inside.
+cache::VerifiedModule emptyEntry(uint64_t Funcs = 0) {
+  static const auto Empty = std::make_shared<const cache::LoweredArtifact>();
+  return {Empty, Funcs, 0, 0};
+}
 
-  auto render = [](const std::vector<Status> &Ss) {
-    std::string Out;
-    for (const Status &S : Ss)
-      Out += S.ok() ? "<ok>;" : S.error().message() + ";";
-    return Out;
-  };
-
-  std::string Reference;
-  for (unsigned Threads : {1u, 3u, 8u}) {
-    support::ThreadPool Pool(Threads);
-    cache::AdmissionCache C;
-    std::string Cold = render(typing::checkModules(Mods, Pool, &C));
-    std::string Warm = render(typing::checkModules(Mods, Pool, &C));
-    EXPECT_EQ(Cold, Warm) << "pool size " << Threads;
-    if (Reference.empty())
-      Reference = Cold;
-    EXPECT_EQ(Cold, Reference) << "pool size " << Threads;
-    EXPECT_GE(C.stats().CheckHits, Mods.size());
-  }
+/// What one synthetic entry (16 key bytes) is charged.
+uint64_t syntheticCharge() {
+  cache::AdmissionCache P;
+  P.storeVerified(keyBytes(0, 0), emptyEntry());
+  return P.stats().Bytes;
 }
 
 //===----------------------------------------------------------------------===//
-// Program memoization (instantiateLowered warm path)
+// Link-set memoization (instantiateLowered warm path)
 //===----------------------------------------------------------------------===//
 
 TEST(Cache, WarmInstantiateLoweredSkipsToInstantiation) {
@@ -220,14 +166,135 @@ TEST(Cache, WarmInstantiateLoweredSkipsToInstantiation) {
               // cold path may fail or succeed, the key just must differ.
 }
 
-TEST(Cache, ProgramOrderAndContentDecideTheKey) {
+TEST(Cache, LinkSetOrderAndContentDecideTheKey) {
   auto [Lib, Client] = linkedPair();
   ir::Module Lib2 = Lib; // Same content, different object.
-  std::vector<const ir::Module *> A = {&Lib, &Client};
-  std::vector<const ir::Module *> B = {&Lib2, &Client};
-  EXPECT_EQ(cache::programKey(A), cache::programKey(B));
-  std::vector<const ir::Module *> Rev = {&Client, &Lib};
-  EXPECT_NE(cache::programKey(A), cache::programKey(Rev));
+  std::vector<uint8_t> Key = cache::linkSetKey({&Lib, &Client});
+  EXPECT_EQ(cache::linkSetKey({&Lib2, &Client}), Key);
+  EXPECT_NE(cache::linkSetKey({&Client, &Lib}), Key);
+
+  // The tag, then each module's wire bytes in link order.
+  std::vector<uint8_t> Want = {'R', 'W', 'L', 'S'};
+  for (const ir::Module *M : {&Lib, &Client}) {
+    std::vector<uint8_t> B = serial::write(*M);
+    Want.insert(Want.end(), B.begin(), B.end());
+  }
+  EXPECT_EQ(Key, Want);
+
+  // Same content from another object is a hit.
+  cache::AdmissionCache C;
+  link::LinkOptions Opts;
+  Opts.Cache = &C;
+  ASSERT_TRUE(bool(link::instantiateLowered({&Lib, &Client}, Opts)));
+  auto Warm = link::instantiateLowered({&Lib2, &Client}, Opts);
+  ASSERT_TRUE(bool(Warm)) << Warm.error().message();
+  EXPECT_EQ(C.stats().ProgramHits, 1u);
+}
+
+TEST(Cache, ForcedLinkSetKeyCollisionDegradesToMiss) {
+  cache::AdmissionCache C;
+  C.setBytesKeyForTesting(
+      [](const std::vector<uint8_t> &) { return cache::ContentKey{7, 7}; });
+  link::LinkOptions Opts;
+  Opts.Cache = &C;
+  Opts.Engine = wasm::EngineKind::Flat;
+  auto [Lib, Client] = linkedPair();
+  ir::Module Loop = rwbench::loopModule(10);
+  auto result = [](Expected<link::LoweredInstance> &LI, const char *Export) {
+    if (!LI)
+      return "rejected: " + LI.error().message();
+    auto R = LI->invokeExport(Export, {});
+    return R ? std::to_string((*R)[0].Bits) : "trap: " + R.error().message();
+  };
+
+  auto A = link::instantiateLowered({&Lib, &Client}, Opts);
+  EXPECT_EQ(result(A, "client.main"), "42");
+  // Same key, different link set: a miss with its own result.
+  auto B = link::instantiateLowered({&Loop}, Opts);
+  EXPECT_EQ(result(B, "loopmod.main"), "55");
+  EXPECT_EQ(C.stats().ProgramHits, 0u);
+  EXPECT_EQ(C.stats().ProgramMisses, 2u);
+
+  // The first entry stays resident and served; the second stays a miss.
+  auto A2 = link::instantiateLowered({&Lib, &Client}, Opts);
+  EXPECT_EQ(result(A2, "client.main"), "42");
+  EXPECT_EQ(C.stats().ProgramHits, 1u);
+  auto B2 = link::instantiateLowered({&Loop}, Opts);
+  EXPECT_EQ(result(B2, "loopmod.main"), "55");
+  EXPECT_EQ(C.stats().ProgramHits, 1u);
+  EXPECT_EQ(C.stats().Entries, 1u);
+}
+
+TEST(Cache, LinkSetEntryIsNeverServedToIngest) {
+  ir::Module M = rwbench::loopModule(10);
+  cache::AdmissionCache C;
+  link::LinkOptions Opts;
+  Opts.Cache = &C;
+  Opts.Engine = wasm::EngineKind::Flat;
+  ASSERT_TRUE(bool(link::instantiateLowered({&M}, Opts)));
+  EXPECT_EQ(C.stats().Entries, 1u);
+
+  // The module's own bytes are a miss and admit normally.
+  auto A = ingest::admit(serial::write(M), ingest::Limits(), Opts);
+  ASSERT_TRUE(bool(A)) << A.error().message();
+  auto R = A->invoke("loopmod.main", {});
+  ASSERT_TRUE(bool(R)) << R.error().message();
+  EXPECT_EQ((*R)[0].Bits, 55u);
+  EXPECT_EQ(C.stats().ProgramHits, 0u);
+  EXPECT_EQ(C.stats().ProgramMisses, 2u);
+  EXPECT_EQ(C.stats().Entries, 2u);
+}
+
+TEST(Cache, IngestRejectsALinkSetKeyAsBadMagic) {
+  ir::Module M = rwbench::loopModule(10);
+  cache::AdmissionCache C;
+  link::LinkOptions Opts;
+  Opts.Cache = &C;
+  ASSERT_TRUE(bool(link::instantiateLowered({&M}, Opts)));
+
+  ingest::IngestError E;
+  EXPECT_FALSE(ingest::admit(cache::linkSetKey({&M}), ingest::Limits(), Opts,
+                             &E));
+  EXPECT_EQ(E.Cat, ingest::Category::BadMagic) << E.render();
+  // Rejected before any probe.
+  EXPECT_EQ(C.stats().ProgramHits, 0u);
+  EXPECT_EQ(C.stats().ProgramMisses, 1u);
+}
+
+TEST(Cache, ColdLinkSetChecksDeterministicallyAcrossPoolSizes) {
+  // A set with successes and failures: a miss checks it, with or without
+  // a pool of any size, and reports the sequential checker's first
+  // failure byte for byte. Rejected link sets are never cached.
+  std::vector<ir::Module> Store;
+  for (uint32_t I = 0; I < 4; ++I)
+    Store.push_back(okModule(I));
+  for (uint32_t I = 0; I < 3; ++I)
+    Store.push_back(badModule(I));
+  Store.push_back(rwbench::wideModule(6));
+  std::vector<const ir::Module *> Mods;
+  for (ir::Module &M : Store)
+    Mods.push_back(&M);
+  Status Ref = typing::checkModule(Store[4]);
+  ASSERT_FALSE(Ref.ok());
+  std::string Want = "module 'bad0': " + Ref.error().message();
+
+  for (unsigned Threads : {0u, 1u, 3u, 8u}) {
+    std::optional<support::ThreadPool> Pool;
+    cache::AdmissionCache C;
+    link::LinkOptions Opts;
+    Opts.Cache = &C;
+    if (Threads) {
+      Pool.emplace(Threads);
+      Opts.Pool = &*Pool;
+    }
+    for (int Round = 0; Round < 2; ++Round) {
+      auto LI = link::instantiateLowered(Mods, Opts);
+      ASSERT_FALSE(bool(LI)) << "pool size " << Threads;
+      EXPECT_EQ(LI.error().message(), Want) << "pool size " << Threads;
+    }
+    EXPECT_EQ(C.stats().Entries, 0u);
+    EXPECT_EQ(C.stats().ProgramMisses, 2u);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -235,61 +302,72 @@ TEST(Cache, ProgramOrderAndContentDecideTheKey) {
 //===----------------------------------------------------------------------===//
 
 TEST(Cache, LruEvictsByRecencyWithinByteBudget) {
-  // Check entries cost 64 + diagnostics bytes; a 200-byte budget fits
-  // three empty-diagnostic entries.
-  cache::AdmissionCache C(200);
-  serial::ModuleHash KA{1, 1}, KB{2, 2}, KC{3, 3}, KD{4, 4};
-  C.storeCheck(KA, {true, ""});
-  C.storeCheck(KB, {true, ""});
-  EXPECT_TRUE(C.lookupCheck(KA).has_value()); // A is now more recent than B.
-  C.storeCheck(KC, {true, ""});
+  // Every synthetic entry is charged the same; the budget fits three.
+  uint64_t E = syntheticCharge();
+  cache::AdmissionCache C(3 * E + E / 2);
+  std::vector<uint8_t> KA = keyBytes(1, 1), KB = keyBytes(2, 2),
+                       KC = keyBytes(3, 3), KD = keyBytes(4, 4);
+  C.storeVerified(KA, emptyEntry());
+  C.storeVerified(KB, emptyEntry());
+  EXPECT_TRUE(C.lookupVerified(KA).has_value()); // A is now more recent.
+  C.storeVerified(KC, emptyEntry());
   EXPECT_EQ(C.stats().Entries, 3u);
   EXPECT_EQ(C.stats().Evictions, 0u);
 
-  C.storeCheck(KD, {true, ""}); // 256 bytes > 200: evict LRU = B.
+  C.storeVerified(KD, emptyEntry()); // Four entries > budget: evict B.
   EXPECT_EQ(C.stats().Evictions, 1u);
   EXPECT_EQ(C.stats().Entries, 3u);
   EXPECT_LE(C.stats().Bytes, C.byteBudget());
-  EXPECT_FALSE(C.lookupCheck(KB).has_value());
-  EXPECT_TRUE(C.lookupCheck(KA).has_value());
-  EXPECT_TRUE(C.lookupCheck(KC).has_value());
-  EXPECT_TRUE(C.lookupCheck(KD).has_value());
+  EXPECT_FALSE(C.lookupVerified(KB).has_value());
+  EXPECT_TRUE(C.lookupVerified(KA).has_value());
+  EXPECT_TRUE(C.lookupVerified(KC).has_value());
+  EXPECT_TRUE(C.lookupVerified(KD).has_value());
 
   C.clear();
   EXPECT_EQ(C.stats().Entries, 0u);
   EXPECT_EQ(C.stats().Bytes, 0u);
-  EXPECT_FALSE(C.lookupCheck(KA).has_value());
+  EXPECT_FALSE(C.lookupVerified(KA).has_value());
 }
 
 TEST(Cache, OversizedArtifactIsRejectedWithoutFlushingResidents) {
-  // A budget smaller than any artifact: the store is rejected up front —
-  // admitting it would evict the whole warm set before the oversized
-  // entry itself went. Resident entries survive and the returned
-  // instance still works (it owns the artifact through its shared_ptr).
+  // A budget smaller than the program's artifact: the store is rejected
+  // up front — admitting it would evict the whole warm set before the
+  // oversized entry itself went. Resident entries survive and the
+  // returned instance still works (it owns the artifact through its
+  // shared_ptr).
   auto [Lib, Client] = linkedPair();
   std::vector<const ir::Module *> Mods = {&Lib, &Client};
-  cache::AdmissionCache C(200); // Fits check verdicts, never an artifact.
-  serial::ModuleHash KA{1, 1}, KB{2, 2};
-  C.storeCheck(KA, {true, ""});
-  C.storeCheck(KB, {true, ""});
+  uint64_t E = syntheticCharge();
+  cache::AdmissionCache C(2 * E + E / 2); // Fits two synthetic entries.
+  std::vector<uint8_t> KA = keyBytes(1, 1), KB = keyBytes(2, 2);
+  C.storeVerified(KA, emptyEntry());
+  C.storeVerified(KB, emptyEntry());
 
   link::LinkOptions Opts;
   Opts.Cache = &C;
+  cache::AdmissionCache Probe;
+  link::LinkOptions ProbeOpts = Opts;
+  ProbeOpts.Cache = &Probe;
+  ASSERT_TRUE(bool(link::instantiateLowered(Mods, ProbeOpts)));
+  ASSERT_GT(Probe.stats().Bytes, C.byteBudget());
+
   auto LI = link::instantiateLowered(Mods, Opts);
   ASSERT_TRUE(bool(LI)) << LI.error().message();
   // The warm resident set was not collateral damage.
   EXPECT_EQ(C.stats().Evictions, 0u);
   EXPECT_EQ(C.stats().Entries, 2u);
-  EXPECT_TRUE(C.lookupCheck(KA).has_value());
-  EXPECT_TRUE(C.lookupCheck(KB).has_value());
+  EXPECT_TRUE(C.lookupVerified(KA).has_value());
+  EXPECT_TRUE(C.lookupVerified(KB).has_value());
 
   auto R = LI->invokeExport("client.main", {});
   ASSERT_TRUE(bool(R)) << R.error().message();
   EXPECT_EQ((*R)[0].Bits, 42u);
   // And the next submission is a miss again (the artifact never cached).
+  uint64_t Hits = C.stats().ProgramHits;
   auto LI2 = link::instantiateLowered(Mods, Opts);
   ASSERT_TRUE(bool(LI2));
-  EXPECT_EQ(C.stats().ProgramHits, 0u);
+  EXPECT_EQ(C.stats().ProgramHits, Hits);
+  EXPECT_EQ(C.stats().ProgramMisses, 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -336,7 +414,7 @@ TEST(Cache, VerifiedEntryOwnsAndIsChargedItsArtifact) {
   std::vector<uint8_t> B1 = serial::write(M1), B2 = serial::write(M2);
   cache::AdmissionCache P, C;
   auto Art = artifactOf(M1, C);
-  P.storeProgram({1, 1}, Art);
+  P.storeVerified({}, {Art, 1, 0, 0}); // Charged the artifact alone.
   C.storeVerified(B1, {Art, 1, 0, 0});
   uint64_t Charge1 = C.stats().Bytes;
   EXPECT_EQ(Charge1, P.stats().Bytes + B1.size());
@@ -379,7 +457,7 @@ std::string runMain(Expected<ingest::AdmittedModule> &A) {
 TEST(Cache, ForcedBytesKeyCollisionDegradesToMiss) {
   cache::AdmissionCache C;
   C.setBytesKeyForTesting(
-      [](const std::vector<uint8_t> &) { return serial::ModuleHash{7, 7}; });
+      [](const std::vector<uint8_t> &) { return cache::ContentKey{7, 7}; });
   link::LinkOptions Opts;
   Opts.Cache = &C;
   Opts.Engine = wasm::EngineKind::Flat;
@@ -445,39 +523,38 @@ TEST(Cache, StricterLimitsRejectAVerifiedHit) {
 TEST(Cache, ConcurrentProbesAndStoresAreSafe) {
   cache::AdmissionCache C(1 << 16);
   support::ThreadPool Pool(8);
-  std::vector<ir::Module> Mods;
+  std::vector<std::vector<uint8_t>> Keys;
   for (uint32_t I = 0; I < 8; ++I)
-    Mods.push_back(okModule(I % 4));
-  std::vector<serial::ModuleHash> Keys;
-  for (const ir::Module &M : Mods)
-    Keys.push_back(serial::moduleHash(M));
+    Keys.push_back(serial::write(okModule(I % 4)));
 
   Pool.parallelFor(256, [&](size_t I) {
-    const serial::ModuleHash &K = Keys[I % Keys.size()];
+    const std::vector<uint8_t> &K = Keys[I % Keys.size()];
     if (I % 3 == 0)
-      C.storeCheck(K, {true, ""});
+      C.storeVerified(K, emptyEntry());
     else
-      (void)C.lookupCheck(K);
+      (void)C.lookupVerified(K);
     if (I % 7 == 0)
       (void)C.stats();
   });
   EXPECT_LE(C.stats().Entries, 4u); // 4 unique contents.
 
-  // Concurrent warm admissions through the full cached pipeline.
-  std::vector<const ir::Module *> Ptrs;
-  for (ir::Module &M : Mods)
-    Ptrs.push_back(&M);
+  // Concurrent submissions of one link set through the full cached
+  // pipeline, each from its own module objects.
   std::vector<std::string> Outs(4);
   Pool.parallelFor(4, [&](size_t I) {
-    support::ThreadPool Inner(1);
-    std::vector<Status> S = typing::checkModules(Ptrs, Inner, &C);
-    std::string R;
-    for (const Status &St : S)
-      R += St.ok() ? "<ok>;" : St.error().message() + ";";
-    Outs[I] = R;
+    auto [Lib, Client] = linkedPair();
+    link::LinkOptions Opts;
+    Opts.Cache = &C;
+    auto LI = link::instantiateLowered({&Lib, &Client}, Opts);
+    if (!LI) {
+      Outs[I] = "rejected: " + LI.error().message();
+      return;
+    }
+    auto R = LI->invokeExport("client.main", {});
+    Outs[I] = R ? std::to_string((*R)[0].Bits) : R.error().message();
   });
-  for (size_t I = 1; I < Outs.size(); ++I)
-    EXPECT_EQ(Outs[I], Outs[0]);
+  for (const std::string &O : Outs)
+    EXPECT_EQ(O, "42");
 }
 
 TEST(Cache, ConcurrentVerifiedAdmissionsAreSafe) {
@@ -512,64 +589,70 @@ TEST(Cache, ConcurrentVerifiedAdmissionsAreSafe) {
 }
 
 //===----------------------------------------------------------------------===//
-// Sharding (PR 9)
+// Sharding
 //===----------------------------------------------------------------------===//
 
 TEST(Cache, ShardedRoundTripAndStatsAggregation) {
   cache::AdmissionCache C(1 << 20, 8);
+  C.setBytesKeyForTesting(wordsKey);
   EXPECT_EQ(C.shardCount(), 8u);
   for (uint64_t I = 0; I < 256; ++I)
-    C.storeCheck({I, I * 2 + 1}, {true, "d" + std::to_string(I)});
+    C.storeVerified(keyBytes(I, I * 2 + 1), emptyEntry(I));
   for (uint64_t I = 0; I < 256; ++I) {
-    auto R = C.lookupCheck({I, I * 2 + 1});
+    auto R = C.lookupVerified(keyBytes(I, I * 2 + 1));
     ASSERT_TRUE(R.has_value()) << I;
-    EXPECT_EQ(R->Diagnostics, "d" + std::to_string(I));
+    EXPECT_EQ(R->Funcs, I);
   }
-  (void)C.lookupCheck({999, 999}); // One miss somewhere.
+  (void)C.lookupVerified(keyBytes(999, 999)); // One miss somewhere.
 
   cache::CacheStats Agg = C.stats();
   EXPECT_EQ(Agg.Entries, 256u);
-  EXPECT_EQ(Agg.CheckHits, 256u);
-  EXPECT_EQ(Agg.CheckMisses, 1u); // Stores do not probe; one cold lookup.
+  EXPECT_EQ(Agg.ProgramHits, 256u);
+  EXPECT_EQ(Agg.ProgramMisses, 1u); // Stores do not probe; one cold lookup.
   cache::CacheStats Sum;
   unsigned NonEmpty = 0;
   for (unsigned S = 0; S < C.shardCount(); ++S) {
     cache::CacheStats SS = C.shardStats(S);
-    Sum.CheckHits += SS.CheckHits;
-    Sum.CheckMisses += SS.CheckMisses;
+    Sum.ProgramHits += SS.ProgramHits;
+    Sum.ProgramMisses += SS.ProgramMisses;
     Sum.Evictions += SS.Evictions;
     Sum.Bytes += SS.Bytes;
     Sum.Entries += SS.Entries;
     NonEmpty += SS.Entries > 0;
   }
-  EXPECT_EQ(Sum.CheckHits, Agg.CheckHits);
-  EXPECT_EQ(Sum.CheckMisses, Agg.CheckMisses);
+  EXPECT_EQ(Sum.ProgramHits, Agg.ProgramHits);
+  EXPECT_EQ(Sum.ProgramMisses, Agg.ProgramMisses);
   EXPECT_EQ(Sum.Bytes, Agg.Bytes);
   EXPECT_EQ(Sum.Entries, Agg.Entries);
-  // mix64 actually partitions: 256 keys do not pile into one shard.
+  // mix64 actually partitions: 256 correlated keys do not pile into one
+  // shard.
   EXPECT_GT(NonEmpty, 4u);
 }
 
 TEST(Cache, ShardedEvictionIsPerShardBudget) {
-  // 1600 bytes over 8 shards = 200/shard: three empty-diagnostic check
-  // entries (64 bytes each) per shard, 24 residents total at most.
-  cache::AdmissionCache C(1600, 8);
+  // Eight shards, each with room for three synthetic entries: 24
+  // residents total at most.
+  uint64_t E = syntheticCharge();
+  uint64_t ShardBudget = 3 * E + E / 2;
+  cache::AdmissionCache C(8 * ShardBudget, 8);
+  C.setBytesKeyForTesting(wordsKey);
   for (uint64_t I = 0; I < 64; ++I)
-    C.storeCheck({I * 31 + 7, I}, {true, ""});
+    C.storeVerified(keyBytes(I * 31 + 7, I), emptyEntry());
   cache::CacheStats Agg = C.stats();
   EXPECT_LE(Agg.Entries, 24u);
   EXPECT_GE(Agg.Evictions, 64u - 24u);
   for (unsigned S = 0; S < C.shardCount(); ++S) {
     cache::CacheStats SS = C.shardStats(S);
     EXPECT_LE(SS.Entries, 3u) << "shard " << S << " exceeded its budget";
-    EXPECT_LE(SS.Bytes, 200u) << "shard " << S;
+    EXPECT_LE(SS.Bytes, ShardBudget) << "shard " << S;
   }
 
-  // Oversize is judged against the *shard* budget: a 264-byte entry
-  // would fit 1600 globally but is rejected per the single-shard rule.
+  // Oversize is judged against the *shard* budget: an entry charged 4E
+  // would fit the whole budget but is rejected per the single-shard rule.
   uint64_t EvBefore = C.stats().Evictions;
-  C.storeCheck({12345, 54321}, {true, std::string(200, 'x')});
-  EXPECT_FALSE(C.lookupCheck({12345, 54321}).has_value());
+  std::vector<uint8_t> Big = keyBytes(12345, 54321, 3 * E);
+  C.storeVerified(Big, emptyEntry());
+  EXPECT_FALSE(C.lookupVerified(Big).has_value());
   EXPECT_EQ(C.stats().Evictions, EvBefore) << "oversize store flushed a shard";
 
   C.clear();
@@ -583,22 +666,21 @@ TEST(Cache, ShardedWarmPipelineStillHits) {
   cache::AdmissionCache C(cache::AdmissionCache::DefaultByteBudget, 4);
   support::ThreadPool Pool(3);
 
-  std::vector<Status> Cold = typing::checkModules(Mods, Pool, &C);
-  EXPECT_TRUE(Cold[0].ok() && Cold[1].ok());
-  std::vector<Status> Warm = typing::checkModules(Mods, Pool, &C);
-  EXPECT_TRUE(Warm[0].ok() && Warm[1].ok());
-  EXPECT_EQ(C.stats().CheckHits, 2u);
-  EXPECT_EQ(C.stats().CheckMisses, 2u);
-
+  // Check once up front and hand the InfoMaps over: the cold admission
+  // checks nothing again, the warm one skips lowering too.
+  std::vector<typing::InfoMap> Infos;
+  std::vector<Status> Checks = typing::checkModules(Mods, Pool, &Infos);
+  ASSERT_TRUE(Checks[0].ok() && Checks[1].ok());
   link::LinkOptions Opts;
   Opts.Cache = &C;
-  auto Cold2 = link::instantiateLowered(Mods, Opts);
-  ASSERT_TRUE(bool(Cold2)) << Cold2.error().message();
-  auto Warm2 = link::instantiateLowered(Mods, Opts);
-  ASSERT_TRUE(bool(Warm2)) << Warm2.error().message();
+  Opts.Infos = &Infos;
+  auto Cold = link::instantiateLowered(Mods, Opts);
+  ASSERT_TRUE(bool(Cold)) << Cold.error().message();
+  auto Warm = link::instantiateLowered(Mods, Opts);
+  ASSERT_TRUE(bool(Warm)) << Warm.error().message();
   EXPECT_EQ(C.stats().ProgramHits, 1u);
   EXPECT_EQ(C.stats().ProgramMisses, 1u);
-  auto R = Warm2->invokeExport("client.main", {});
+  auto R = Warm->invokeExport("client.main", {});
   ASSERT_TRUE(bool(R));
   EXPECT_EQ((*R)[0].Bits, 42u);
 }
@@ -606,9 +688,9 @@ TEST(Cache, ShardedWarmPipelineStillHits) {
 #if RW_OBS_ENABLED
 TEST(Cache, ShardedObsSourceEmitsPerShardKeys) {
   cache::AdmissionCache C(1 << 16, 4);
-  C.storeCheck({1, 2}, {true, ""});
-  (void)C.lookupCheck({1, 2});
-  (void)C.lookupCheck({3, 4});
+  C.storeVerified(keyBytes(1, 2), emptyEntry());
+  (void)C.lookupVerified(keyBytes(1, 2));
+  (void)C.lookupVerified(keyBytes(3, 4));
   obs::Snapshot S = obs::snapshot();
   // The source prefix may be uniquified ("cache#N") when other tests'
   // instances are alive; match on suffix within cache-prefixed names.
@@ -654,17 +736,17 @@ TEST(Cache, ShardedObsSourceEmitsPerShardKeys) {
 
 TEST(Cache, ShardedConcurrentHammer) {
   cache::AdmissionCache C(1 << 14, 8);
+  C.setBytesKeyForTesting(wordsKey);
   support::ThreadPool Pool(8);
   Pool.parallelFor(2048, [&](size_t I) {
-    serial::ModuleHash K{static_cast<uint64_t>(I % 97),
-                         static_cast<uint64_t>(I % 89)};
+    std::vector<uint8_t> K = keyBytes(I % 97, I % 89);
     switch (I % 5) {
     case 0:
-      C.storeCheck(K, {true, "x"});
+      C.storeVerified(K, emptyEntry());
       break;
     case 1:
     case 2:
-      (void)C.lookupCheck(K);
+      (void)C.lookupVerified(K);
       break;
     case 3:
       (void)C.stats();
@@ -675,7 +757,7 @@ TEST(Cache, ShardedConcurrentHammer) {
   });
   cache::CacheStats Agg = C.stats();
   EXPECT_LE(Agg.Bytes, C.byteBudget());
-  EXPECT_GT(Agg.hits() + Agg.misses(), 0u);
+  EXPECT_GT(Agg.ProgramHits + Agg.ProgramMisses, 0u);
 }
 
 } // namespace

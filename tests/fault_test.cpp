@@ -174,7 +174,7 @@ TEST_F(Fault, CacheStoreFailureDegradesToUncachedAdmission) {
   auto R2 = A2->invoke("loopmod.main", {});
   ASSERT_TRUE(R2) << R2.error().message();
   EXPECT_EQ((*R2)[0].Bits, 55u);
-  EXPECT_EQ(C.stats().hits(), 0u);
+  EXPECT_EQ(C.stats().ProgramHits, 0u);
   EXPECT_EQ(C.stats().ProgramMisses, 2u);
 
   // Once the seam heals, the same cache starts retaining entries, and

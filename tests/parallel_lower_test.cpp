@@ -224,3 +224,51 @@ TEST(ParallelLower, InfoMapsOfRejectedModulesAreEmpty) {
     EXPECT_FALSE(Infos[0].empty());
   }
 }
+
+TEST(ParallelLower, SelfCheckOnThePoolMatchesSequential) {
+  // With no InfoMaps handed over, lowerProgram checks once itself: over
+  // LowerOptions::Pool when set, module by module otherwise. Both give
+  // the same bytes, and the same first failure, byte for byte.
+  AdmissionSet Set(6);
+  Expected<std::vector<uint8_t>> Seq = lowerBytes(Set.Ptrs, nullptr, nullptr);
+  ASSERT_TRUE(bool(Seq)) << Seq.error().message();
+
+  ir::Module Bad;
+  Bad.Name = "bad";
+  Bad.Funcs.push_back(function(
+      {"f"}, FunType::get({}, arrow({}, {i32T()})), {}, {})); // Leaves 0.
+  std::vector<const ir::Module *> Mods(Set.Ptrs.begin(), Set.Ptrs.end());
+  Mods.insert(Mods.begin() + 2, &Bad);
+  Expected<std::vector<uint8_t>> SeqBad = lowerBytes(Mods, nullptr, nullptr);
+  ASSERT_FALSE(bool(SeqBad));
+  EXPECT_EQ(SeqBad.error().message(),
+            "module 'bad': " + typing::checkModule(Bad).error().message());
+
+  for (unsigned N : {1u, 3u, 8u}) {
+    support::ThreadPool Pool(N);
+    Expected<std::vector<uint8_t>> Par = lowerBytes(Set.Ptrs, &Pool, nullptr);
+    ASSERT_TRUE(bool(Par)) << Par.error().message();
+    EXPECT_EQ(*Seq, *Par) << "pool size " << N;
+    Expected<std::vector<uint8_t>> ParBad = lowerBytes(Mods, &Pool, nullptr);
+    ASSERT_FALSE(bool(ParBad));
+    EXPECT_EQ(ParBad.error().message(), SeqBad.error().message())
+        << "pool size " << N;
+  }
+}
+
+TEST(ParallelLower, InfoMapHandOffMustMatchTheModuleList) {
+  // One check of the hand-off, in lowerProgram, serves both entry points.
+  AdmissionSet Set(3);
+  std::vector<typing::InfoMap> Infos(2);
+  Expected<std::vector<uint8_t>> LP = lowerBytes(Set.Ptrs, nullptr, &Infos);
+  ASSERT_FALSE(bool(LP));
+  EXPECT_EQ(LP.error().message(),
+            "InfoMap hand-off does not match the module list");
+
+  link::LinkOptions Opts;
+  Opts.Infos = &Infos;
+  Expected<link::LoweredInstance> LI =
+      link::instantiateLowered(Set.Ptrs, Opts);
+  ASSERT_FALSE(bool(LI));
+  EXPECT_EQ(LI.error().message(), LP.error().message());
+}

@@ -14,8 +14,8 @@
 //    shape and instruction payload;
 //  * robustness — corrupt headers, bad checksums, truncated streams, and
 //    checksum-corrected payload flips are rejected or decoded, never UB;
-//  * moduleHash — stable across arenas, discriminating across contents,
-//    and consistent with byte-level equality of write().
+//  * content identity — write() bytes are stable across arenas and
+//    discriminate contents (the admission cache keys by them).
 //
 //===----------------------------------------------------------------------===//
 
@@ -349,7 +349,6 @@ void expectRoundTrip(const ir::Module &M) {
 
   // Canonical encoding: re-serializing reproduces the bytes.
   EXPECT_EQ(serial::write(*R), Bytes);
-  EXPECT_EQ(serial::moduleHash(*R), serial::moduleHash(M));
 
   // Structure and canonical-pointer identity.
   EXPECT_EQ(R->Name, M.Name);
@@ -439,14 +438,13 @@ TEST(Serial, RoundTripIntoIndependentArena) {
 
   // Pointer identity deliberately fails across arenas while structural
   // equality holds — and the re-encoding is byte-identical anyway,
-  // because both the wire format and the hash are arena-independent.
+  // because the wire format is arena-independent.
   ASSERT_EQ(R->Funcs.size(), M.Funcs.size());
   for (size_t I = 0; I < M.Funcs.size(); ++I) {
     EXPECT_NE(R->Funcs[I].Ty.get(), M.Funcs[I].Ty.get());
     EXPECT_TRUE(structuralFunTypeEquals(*R->Funcs[I].Ty, *M.Funcs[I].Ty));
   }
   EXPECT_EQ(serial::write(*R), Bytes);
-  EXPECT_EQ(serial::moduleHash(*R), serial::moduleHash(M));
 
   // Decoding into the private arena again dedups against the first read:
   // same canonical nodes.
@@ -476,28 +474,28 @@ TEST(SerialFuzz, SeededModulesRoundTrip) {
 }
 
 //===----------------------------------------------------------------------===//
-// Content hash
+// Content identity
 //===----------------------------------------------------------------------===//
 
-TEST(Serial, ModuleHashDiscriminatesContent) {
-  serial::ModuleHash A = serial::moduleHash(rwbench::loopModule(100));
-  serial::ModuleHash B = serial::moduleHash(rwbench::loopModule(100));
-  serial::ModuleHash C = serial::moduleHash(rwbench::loopModule(101));
+TEST(Serial, WriteBytesIdentifyContent) {
+  std::vector<uint8_t> A = serial::write(rwbench::loopModule(100));
+  std::vector<uint8_t> B = serial::write(rwbench::loopModule(100));
+  std::vector<uint8_t> C = serial::write(rwbench::loopModule(101));
   EXPECT_EQ(A, B);
   EXPECT_NE(A, C);
 
   // A renamed module is different content (names decide import routing).
   ir::Module M = rwbench::loopModule(100);
   M.Name = "renamed";
-  EXPECT_NE(serial::moduleHash(M), A);
+  EXPECT_NE(serial::write(M), A);
 
-  // Hashes are arena-independent: the same structure interned into a
-  // private arena hashes identically.
+  // The bytes are arena-independent: the same structure interned into a
+  // private arena writes identically.
   TypeArena Private;
-  serial::ModuleHash D;
+  std::vector<uint8_t> D;
   {
     ArenaScope Scope(Private);
-    D = serial::moduleHash(rwbench::loopModule(100));
+    D = serial::write(rwbench::loopModule(100));
   }
   EXPECT_EQ(D, A);
 }

@@ -229,7 +229,7 @@ TEST(WasmDecode, NestingAtTheCapIsAcceptedOneDeeperIsNot) {
 TEST(WasmDecode, HundredThousandDeepNestRunsWithoutRecursion) {
   // Every consumer walks structured control with an explicit stack, so a
   // nest far deeper than any native stack could recurse through decodes,
-  // validates, translates and re-encodes once the cap allows it.
+  // validates, translates, re-encodes and prints once the cap allows it.
   const unsigned Depth = 100000;
   std::vector<uint8_t> B = nestedBlocksModule(Depth);
   Limits L = Limits::unlimited();
@@ -244,6 +244,11 @@ TEST(WasmDecode, HundredThousandDeepNestRunsWithoutRecursion) {
   Expected<exec::FlatModule> FM = exec::translate(*M);
   ASSERT_TRUE(FM) << FM.error().message();
   EXPECT_EQ(wasm::encode(*M), B);
+  // Indentation is capped, so the text is linear in the instruction count:
+  // each line is at most the capped pad plus "block"/"end" and a newline.
+  std::string Wat = wasm::printWat(*M);
+  EXPECT_LE(Wat.size(), 80u * M->Funcs[0].Body.size());
+  EXPECT_NE(Wat.find("block\n"), std::string::npos);
 
   L.MaxNestingDepth = Depth - 1;
   IngestError E;
