@@ -21,8 +21,8 @@
 #include "ml/ML.h"
 #include "obs/Obs.h"
 #include "typing/Checker.h"
-#include "wasm/Interp.h"
 #include "wasm/Binary.h"
+#include "wasm/Instance.h"
 #include "wasm/Validate.h"
 
 #include <algorithm>

@@ -4,6 +4,7 @@
 // shuffling capability/ownership tokens on every iteration, one without —
 // must produce byte-identical instruction counts and equal runtimes.
 #include "Common.h"
+#include "tests/oracle/Interp.h"
 #include <benchmark/benchmark.h>
 using namespace rw;
 using namespace rw::ir;

@@ -2,6 +2,7 @@
 // §6's "simple free list allocator" emitted as Wasm functions: alloc/free
 // churn throughput and the reuse behavior (bump pointer stays flat).
 #include "Common.h"
+#include "tests/oracle/Interp.h"
 #include <benchmark/benchmark.h>
 using namespace rw;
 using namespace rwbench;

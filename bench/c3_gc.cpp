@@ -2,6 +2,7 @@
 // The §3 collect rule: reclamation throughput as garbage volume sweeps,
 // in the RichWasm machine and via the host-assisted collector on Wasm.
 #include "Common.h"
+#include "tests/oracle/Oracle.h"
 #include <benchmark/benchmark.h>
 using namespace rw;
 using namespace rwbench;
@@ -23,12 +24,12 @@ static void C3_MachineCollect(benchmark::State &St) {
 }
 BENCHMARK(C3_MachineCollect)->Arg(100)->Arg(1000)->Arg(10000);
 
-static void C3_HostGcOnWasm(benchmark::State &St, wasm::EngineKind K) {
+static void C3_HostGcOnWasm(benchmark::State &St, oracle::Engine E) {
   int32_t N = static_cast<int32_t>(St.range(0));
   ir::Module M = allocModule(N, /*Linear=*/false);
   auto LP = lower::lowerProgram({&M});
   if (!LP) { St.SkipWithError("lowering failed"); return; }
-  auto Inst = wasm::createInstance(LP->Module, K);
+  auto Inst = oracle::createInstance(LP->Module, E);
   (void)Inst->initialize();
   lower::HostGc Gc(*Inst, LP->Runtime, LP->RefGlobals);
   uint64_t Swept = 0;
@@ -42,10 +43,10 @@ static void C3_HostGcOnWasm(benchmark::State &St, wasm::EngineKind K) {
       static_cast<double>(Swept), benchmark::Counter::kIsRate);
 }
 static void C3_HostGcOnWasm_Tree(benchmark::State &St) {
-  C3_HostGcOnWasm(St, wasm::EngineKind::Tree);
+  C3_HostGcOnWasm(St, oracle::Engine::Tree);
 }
 static void C3_HostGcOnWasm_Flat(benchmark::State &St) {
-  C3_HostGcOnWasm(St, wasm::EngineKind::Flat);
+  C3_HostGcOnWasm(St, oracle::Engine::Flat);
 }
 BENCHMARK(C3_HostGcOnWasm_Tree)->Arg(100)->Arg(1000)->Arg(10000);
 BENCHMARK(C3_HostGcOnWasm_Flat)->Arg(100)->Arg(1000)->Arg(10000);

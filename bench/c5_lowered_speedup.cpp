@@ -4,6 +4,7 @@
 // path). The lowered code should win by a wide margin — the machine
 // re-decomposes the whole term each step.
 #include "Common.h"
+#include "tests/oracle/Oracle.h"
 #include <benchmark/benchmark.h>
 using namespace rw;
 using namespace rwbench;
@@ -19,11 +20,11 @@ static void C5_RichWasmMachine(benchmark::State &St) {
 }
 BENCHMARK(C5_RichWasmMachine)->Arg(100)->Arg(1000);
 
-static void C5_LoweredWasm(benchmark::State &St, wasm::EngineKind K) {
+static void C5_LoweredWasm(benchmark::State &St, oracle::Engine E) {
   ir::Module M = loopModule(static_cast<int32_t>(St.range(0)));
   auto LP = lower::lowerProgram({&M});
   if (!LP) { St.SkipWithError("lowering failed"); return; }
-  auto Inst = wasm::createInstance(LP->Module, K);
+  auto Inst = oracle::createInstance(LP->Module, E);
   (void)Inst->initialize();
   for (auto _ : St) {
     auto R = Inst->invokeByName("loopmod.main", {});
@@ -31,10 +32,10 @@ static void C5_LoweredWasm(benchmark::State &St, wasm::EngineKind K) {
   }
 }
 static void C5_LoweredWasm_Tree(benchmark::State &St) {
-  C5_LoweredWasm(St, wasm::EngineKind::Tree);
+  C5_LoweredWasm(St, oracle::Engine::Tree);
 }
 static void C5_LoweredWasm_Flat(benchmark::State &St) {
-  C5_LoweredWasm(St, wasm::EngineKind::Flat);
+  C5_LoweredWasm(St, oracle::Engine::Flat);
 }
 BENCHMARK(C5_LoweredWasm_Tree)->Arg(100)->Arg(1000);
 BENCHMARK(C5_LoweredWasm_Flat)->Arg(100)->Arg(1000);

@@ -1,11 +1,12 @@
 //===- bench/fig4_interp_throughput.cpp - F4: execution throughput --------===//
 // The Fig 4 cost profile, at every execution tier: the RichWasm
 // small-step machine (the dynamic semantics), and the lowered-Wasm path
-// on all three engines — the tree-walking reference interpreter, the
-// flat-bytecode engine, and the tier-3 copy-and-patch JIT (eager). The
+// on the tree-walking oracle (tests/oracle/) and both shipping engines —
+// the flat-bytecode engine and the tier-3 copy-and-patch JIT (eager). The
 // per-engine counters let run_bench.sh emit geomean Tree→Flat and
 // Flat→Jit speedups; the jit is the shipping tier where compiled in.
 #include "Common.h"
+#include "tests/oracle/Oracle.h"
 #include <benchmark/benchmark.h>
 using namespace rw;
 using namespace rwbench;
@@ -45,10 +46,8 @@ BENCHMARK(F4_StepsPerSecond_HeapChurn)->Arg(100)->Arg(1000);
 //===----------------------------------------------------------------------===//
 
 static void runLowered(benchmark::State &St, ir::Module M, const char *Export,
-                       wasm::EngineKind K) {
-  link::LinkOptions Opts;
-  Opts.Engine = K;
-  auto LI = link::instantiateLowered({&M}, Opts);
+                       oracle::Engine E) {
+  auto LI = oracle::instantiateLowered({&M}, E);
   if (!LI) {
     St.SkipWithError("instantiation failed");
     return;
@@ -65,15 +64,15 @@ static void runLowered(benchmark::State &St, ir::Module M, const char *Export,
 
 static void F4_Wasm_Loop_Tree(benchmark::State &St) {
   runLowered(St, loopModule(static_cast<int32_t>(St.range(0))),
-             "loopmod.main", wasm::EngineKind::Tree);
+             "loopmod.main", oracle::Engine::Tree);
 }
 static void F4_Wasm_Loop_Flat(benchmark::State &St) {
   runLowered(St, loopModule(static_cast<int32_t>(St.range(0))),
-             "loopmod.main", wasm::EngineKind::Flat);
+             "loopmod.main", oracle::Engine::Flat);
 }
 static void F4_Wasm_Loop_Jit(benchmark::State &St) {
   runLowered(St, loopModule(static_cast<int32_t>(St.range(0))),
-             "loopmod.main", wasm::EngineKind::Jit);
+             "loopmod.main", oracle::Engine::Jit);
 }
 BENCHMARK(F4_Wasm_Loop_Tree)->Arg(100)->Arg(1000);
 BENCHMARK(F4_Wasm_Loop_Flat)->Arg(100)->Arg(1000);
@@ -81,15 +80,15 @@ BENCHMARK(F4_Wasm_Loop_Jit)->Arg(100)->Arg(1000);
 
 static void F4_Wasm_HeapChurn_Tree(benchmark::State &St) {
   runLowered(St, allocModule(static_cast<int32_t>(St.range(0)), true),
-             "allocmod.main", wasm::EngineKind::Tree);
+             "allocmod.main", oracle::Engine::Tree);
 }
 static void F4_Wasm_HeapChurn_Flat(benchmark::State &St) {
   runLowered(St, allocModule(static_cast<int32_t>(St.range(0)), true),
-             "allocmod.main", wasm::EngineKind::Flat);
+             "allocmod.main", oracle::Engine::Flat);
 }
 static void F4_Wasm_HeapChurn_Jit(benchmark::State &St) {
   runLowered(St, allocModule(static_cast<int32_t>(St.range(0)), true),
-             "allocmod.main", wasm::EngineKind::Jit);
+             "allocmod.main", oracle::Engine::Jit);
 }
 BENCHMARK(F4_Wasm_HeapChurn_Tree)->Arg(100)->Arg(1000);
 BENCHMARK(F4_Wasm_HeapChurn_Flat)->Arg(100)->Arg(1000);

@@ -2,6 +2,7 @@
 // The §4.2 example as a benchmark: GC'd client ticks the linear counter
 // library across the FFI, on the RichWasm machine and lowered to Wasm.
 #include "Common.h"
+#include "tests/oracle/Interp.h"
 #include <benchmark/benchmark.h>
 using namespace rw;
 using namespace rwbench;

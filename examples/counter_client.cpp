@@ -12,7 +12,7 @@
 #include "link/Link.h"
 #include "lower/Lower.h"
 #include "ml/ML.h"
-#include "wasm/Interp.h"
+#include "wasm/Instance.h"
 #include "wasm/Validate.h"
 
 #include <cstdio>
@@ -90,15 +90,15 @@ int main() {
   }
   Status V = wasm::validate(LP->Module);
   printf("wasm validate: %s\n", V.ok() ? "OK" : V.error().message().c_str());
-  wasm::WasmInstance Inst(LP->Module);
-  (void)Inst.initialize();
-  (void)Inst.invokeByName("app.init", {});
-  (void)Inst.invokeByName("app.tick", {});
-  (void)Inst.invokeByName("app.set_rate", {wasm::WValue::i32(5)});
-  (void)Inst.invokeByName("app.tick", {});
-  (void)Inst.invokeByName("app.tick", {});
-  auto W = Inst.invokeByName("app.total", {});
+  auto Inst = wasm::createInstance(LP->Module);
+  (void)Inst->initialize();
+  (void)Inst->invokeByName("app.init", {});
+  (void)Inst->invokeByName("app.tick", {});
+  (void)Inst->invokeByName("app.set_rate", {wasm::WValue::i32(5)});
+  (void)Inst->invokeByName("app.tick", {});
+  (void)Inst->invokeByName("app.tick", {});
+  auto W = Inst->invokeByName("app.total", {});
   printf("total: %u (expected 11); live heap cells: %u\n", (*W)[0].asU32(),
-         Inst.global(LP->Runtime.GLive).asU32());
+         Inst->global(LP->Runtime.GLive).asU32());
   return 0;
 }

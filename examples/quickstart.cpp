@@ -2,8 +2,8 @@
 //
 // Builds a RichWasm module with the C++ builder API, type-checks it, runs
 // it on the small-step machine, then compiles it to WebAssembly and runs
-// the binary on both execution engines (the tree-walking reference
-// interpreter and the flat-bytecode engine).
+// the binary on both execution engines (the flat-bytecode engine and the
+// tier-3 JIT).
 //
 //   cmake --build build && ./build/example_quickstart
 //
@@ -15,7 +15,7 @@
 #include "lower/Lower.h"
 #include "typing/Checker.h"
 #include "wasm/Binary.h"
-#include "wasm/Interp.h"
+#include "wasm/Instance.h"
 #include "wasm/Validate.h"
 
 #include <cstdio>
@@ -79,20 +79,19 @@ int main() {
   printf("wasm binary: %zu bytes\n", Bytes.size());
 
   auto M2 = wasm::decode(Bytes);
-  wasm::WasmInstance Inst(*M2);
-  (void)Inst.initialize();
-  auto W = Inst.invokeByName("quickstart.triple", {wasm::WValue::i32(14)});
-  printf("wasm (tree): triple(14) = %u  (instructions executed: %llu)\n",
-         (*W)[0].asU32(), (unsigned long long)Inst.instrCount());
+  auto Run = [&](const char *Engine, wasm::Instance &Inst) {
+    (void)Inst.initialize();
+    auto W = Inst.invokeByName("quickstart.triple", {wasm::WValue::i32(14)});
+    printf("wasm (%s): triple(14) = %u  (instructions executed: %llu)\n",
+           Engine, (*W)[0].asU32(), (unsigned long long)Inst.instrCount());
+  };
+  auto Flat = wasm::createInstance(*M2); // The default engine.
+  Run("flat", *Flat);
 
-  // 4. The same module on the flat-bytecode engine: identical embedder
-  //    surface, selected by EngineKind (or LinkOptions::Engine when
-  //    going through link::instantiateLowered).
-  auto Flat = wasm::createInstance(*M2, wasm::EngineKind::Flat);
-  (void)Flat->initialize();
-  auto WF = Flat->invokeByName("quickstart.triple", {wasm::WValue::i32(14)});
-  printf("wasm (%s): triple(14) = %u  (instructions executed: %llu)\n",
-         wasm::engineKindName(Flat->engine()), (*WF)[0].asU32(),
-         (unsigned long long)Flat->instrCount());
+  // 4. The same module on the tier-3 JIT: identical embedder surface,
+  //    selected by EngineKind (or LinkOptions::Engine when going through
+  //    link::instantiateLowered).
+  auto Jit = wasm::createInstance(*M2, wasm::EngineKind::Jit);
+  Run("jit", *Jit);
   return 0;
 }

@@ -6,8 +6,9 @@
 //
 // End-to-end totality harness for the whole front door: decode → validate
 // → check → link → lower → translate → instantiate on arbitrary bytes,
-// both container routes. RunStart is off so hostile start functions cost
-// no fuel; everything up to and including instance initialization runs.
+// both container routes, on the default (flat) engine that ships. RunStart
+// is off so hostile start functions cost no fuel; everything up to and
+// including instance initialization runs.
 //
 // Every input is admitted twice through one small process-lifetime
 // admission cache, so an admitted RWBM input comes back through the

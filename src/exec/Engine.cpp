@@ -9,7 +9,6 @@
 #include "jit/Jit.h"
 #include "obs/Obs.h"
 #include "support/NumericOps.h"
-#include "wasm/Interp.h"
 
 #include <cstdlib>
 #include <cstring>
@@ -963,8 +962,8 @@ host_call: {
 }
 
 //===----------------------------------------------------------------------===//
-// Engine factory (declared in wasm/Instance.h; defined here where both
-// engines are visible)
+// Engine factory (declared in wasm/Instance.h; defined here where the
+// engine is visible)
 //===----------------------------------------------------------------------===//
 
 std::unique_ptr<Instance> rw::wasm::createInstance(const WModule &M,
@@ -972,7 +971,5 @@ std::unique_ptr<Instance> rw::wasm::createInstance(const WModule &M,
   // EngineKind::Jit is the flat engine with eager tier-up; under
   // -DRW_JIT=OFF it still instantiates (reporting engine() == Jit) but
   // every function runs flat — semantics are engine-identical anyway.
-  if (K == EngineKind::Flat || K == EngineKind::Jit)
-    return std::make_unique<FlatInstance>(M, K);
-  return std::make_unique<WasmInstance>(M);
+  return std::make_unique<FlatInstance>(M, K);
 }

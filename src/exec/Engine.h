@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The flat-bytecode execution engine (EngineKind::Flat, DESIGN.md §5):
-/// a drop-in replacement for the tree-walking wasm::WasmInstance that
-/// first translates the module with exec::translate and then runs the
-/// resulting linear code with a tight dispatch loop —
+/// The shipping execution engine (DESIGN.md §5), behind both
+/// EngineKind::Flat and EngineKind::Jit. It first translates the module
+/// with exec::translate and then runs the resulting linear code with a
+/// tight dispatch loop —
 ///
 ///   * one switch-dispatched loop over pre-decoded uint32_t words; no
 ///     per-step label resolution, block re-scanning, or recursion;
@@ -19,11 +19,13 @@
 ///     arithmetic instead of C++ recursion;
 ///   * host calls resolved once at initialize() into a direct table.
 ///
-/// Semantics (results, traps, memory effects, GC-visible globals) match
-/// the tree engine exactly; tests/exec_test.cpp holds the differential
+/// EngineKind::Jit adds eager tier-3 native compilation (src/jit/); Flat
+/// tiers up only under a threshold. Semantics (results, traps, memory
+/// effects, GC-visible globals) match the tree-walking oracle in
+/// tests/oracle/ exactly; tests/exec_test.cpp holds the differential
 /// suite. Instances are not re-entrant — the operand stack, register
-/// file, and frame stack are instance state — but unlike the tree engine
-/// this is *enforced*: a host function that calls invoke() back into the
+/// file, and frame stack are instance state — but unlike the oracle this
+/// is *enforced*: a host function that calls invoke() back into the
 /// instance that invoked it gets a proper trap ("re-entrant invoke"),
 /// never corrupted state.
 ///
@@ -69,7 +71,9 @@ public:
   invoke(uint32_t FuncIdx, std::vector<wasm::WValue> Args,
          uint64_t MaxFuel = 1'000'000'000) override;
 
-  wasm::EngineKind engine() const override { return Kind; }
+  /// The engine this instance runs as. Under -DRW_JIT=OFF a Jit
+  /// instance still reports Jit but runs every function flat.
+  wasm::EngineKind engine() const { return Kind; }
 
   /// Tier-up policy; call before initialize(). \p Threshold: 0 compiles
   /// every function eagerly at prepare(); N >= 1 compiles a function

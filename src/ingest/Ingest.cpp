@@ -154,8 +154,8 @@ Expected<AdmittedModule> admitWasm(const std::vector<uint8_t> &Bytes,
   AdmittedModule A;
   A.R = Route::Wasm;
   A.WasmMod = std::make_unique<wasm::WModule>(M.take());
-  // createInstance covers all engines; for Flat/Jit it performs the flat
-  // translation during initialize(), whose failure surfaces here.
+  // The flat translation runs during initialize(); its failure surfaces
+  // here.
   A.WasmInst = wasm::createInstance(*A.WasmMod, Opts.Engine);
   if (Status S = A.WasmInst->initialize(Opts.RunStart); !S) {
     const std::string &Msg = S.error().message();

@@ -15,8 +15,8 @@
 ///
 /// Two admissible containers:
 ///   * `\0asm` — a WebAssembly binary: wasm::decode under Limits,
-///     wasm::validate with the operand-depth cap, then instantiation on
-///     LinkOptions::Engine (flat translation included for Flat/Jit).
+///     wasm::validate with the operand-depth cap, then flat translation
+///     and instantiation on LinkOptions::Engine.
 ///   * `RWBM`  — a serialized RichWasm module (serial/). With
 ///     LinkOptions::Cache set, the exact bytes are first probed in the
 ///     cache's verified-bytes index. A hit re-applies the Limits counts

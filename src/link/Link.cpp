@@ -403,14 +403,11 @@ rw::link::lowerArtifact(const std::vector<const ir::Module *> &Mods,
     return S.error().addContext("lowered module validation");
   // Translate once here (not lazily in the engine) so the memoized
   // artifact serves both engines on every later hit; validated lowered
-  // modules always translate. Without a cache, only the flat-bytecode
-  // tiers (Flat and the Jit that compiles from it) need it.
-  if (Opts.Cache || Opts.Engine != wasm::EngineKind::Tree) {
-    Expected<exec::FlatModule> FM = exec::translate(A->Program.Module);
-    if (!FM)
-      return FM.error().addContext("flat translation");
-    A->Flat = FM.take();
-  }
+  // modules always translate.
+  Expected<exec::FlatModule> FM = exec::translate(A->Program.Module);
+  if (!FM)
+    return FM.error().addContext("flat translation");
+  A->Flat = FM.take();
   return std::shared_ptr<const cache::LoweredArtifact>(std::move(A));
 }
 
@@ -418,22 +415,16 @@ Expected<LoweredInstance>
 rw::link::instantiateArtifact(std::shared_ptr<const cache::LoweredArtifact> Art,
                               const LinkOptions &Opts) {
   OBS_SPAN("instantiate");
-  std::unique_ptr<wasm::Instance> Inst;
-  if (Opts.Engine != wasm::EngineKind::Tree) {
-    auto FI = std::make_unique<exec::FlatInstance>(Art->Program.Module,
-                                                   Opts.Engine);
-    // Borrow the artifact's translation (zero-copy): the aliasing handle
-    // keeps the artifact alive, and the translation is immutable — all
-    // mutable execution state is per-instance (the tier-3 compiler only
-    // reads it).
-    FI->adoptPretranslated(
-        std::shared_ptr<const exec::FlatModule>(Art, &Art->Flat));
-    if (Opts.JitThreshold)
-      FI->setTierPolicy(*Opts.JitThreshold);
-    Inst = std::move(FI);
-  } else {
-    Inst = wasm::createInstance(Art->Program.Module, Opts.Engine);
-  }
+  auto Inst =
+      std::make_unique<exec::FlatInstance>(Art->Program.Module, Opts.Engine);
+  // Borrow the artifact's translation (zero-copy): the aliasing handle
+  // keeps the artifact alive, and the translation is immutable — all
+  // mutable execution state is per-instance (the tier-3 compiler only
+  // reads it).
+  Inst->adoptPretranslated(
+      std::shared_ptr<const exec::FlatModule>(Art, &Art->Flat));
+  if (Opts.JitThreshold)
+    Inst->setTierPolicy(*Opts.JitThreshold);
   if (Opts.Profile)
     Inst->enableProfiling();
   // RunStart only gates the start function; instance state (memory,

@@ -50,10 +50,10 @@ struct LinkOptions {
   bool TypeCheck = true;
   /// Run global initializers and start functions.
   bool RunStart = true;
-  /// Execution engine for the lowered path (instantiateLowered): the
-  /// tree-walking reference interpreter, the flat-bytecode engine, or
-  /// the flat engine with eager tier-3 native compilation (Jit).
-  wasm::EngineKind Engine = wasm::EngineKind::Tree;
+  /// Execution engine for the lowered path (instantiateLowered) and the
+  /// Wasm route of ingest::admit: the flat-bytecode engine, or the flat
+  /// engine with eager tier-3 native compilation (Jit).
+  wasm::EngineKind Engine = wasm::EngineKind::Flat;
   /// Tier-up threshold override for Flat/Jit instances (see
   /// exec::FlatInstance::setTierPolicy): 0 compiles every function at
   /// prepare(), N >= 1 tiers a function once its profile mass reaches N,
@@ -129,16 +129,14 @@ instantiateLowered(const std::vector<const ir::Module *> &Mods,
 
 /// The cold half of instantiateLowered, with no cache probe or store:
 /// resolves, lowers (checking unless Opts.Infos hands the checker's work
-/// over), validates and translates \p Mods into an artifact. With
-/// Opts.Cache set the artifact is always translated, so it can serve
-/// every engine. The artifact owns no arena nodes.
+/// over), validates and translates \p Mods into an artifact. The
+/// artifact owns no arena nodes.
 Expected<std::shared_ptr<const cache::LoweredArtifact>>
 lowerArtifact(const std::vector<const ir::Module *> &Mods,
               const LinkOptions &Opts);
 
 /// The warm half of instantiateLowered: instantiates \p Art on
-/// Opts.Engine, honoring RunStart, Profile and JitThreshold. A Flat or
-/// Jit engine needs an artifact that carries its flat translation.
+/// Opts.Engine, honoring RunStart, Profile and JitThreshold.
 Expected<LoweredInstance>
 instantiateArtifact(std::shared_ptr<const cache::LoweredArtifact> Art,
                     const LinkOptions &Opts);

@@ -328,16 +328,20 @@ namespace detail {
 void spanEnd(const Phase &P, uint64_t StartNs, uint64_t A, uint64_t B);
 } // namespace detail
 
-/// An RAII phase span. When the layer is runtime-disabled the constructor
-/// is one relaxed load and the destructor a predictable no-op branch.
-/// When enabled, the destructor records the duration into the phase
-/// histogram and — if tracing() — appends a trace event (with the two
-/// free-form args, e.g. module and function index) to the calling
-/// thread's ring buffer.
+/// A span's start time: the clock when enabled(), else 0 (one relaxed
+/// load, no clock read).
+inline uint64_t spanStart() { return enabled() ? nowNs() : 0; }
+
+/// An RAII phase span that began at \p StartNs, a spanStart() value; 0
+/// means the layer was runtime-disabled, and the destructor is then a
+/// predictable no-op branch. Otherwise the destructor records the
+/// duration into the phase histogram and — if tracing() — appends a
+/// trace event (with the two free-form args, e.g. module and function
+/// index) to the calling thread's ring buffer.
 class Span {
 public:
-  explicit Span(Phase &P, uint64_t A = 0, uint64_t B = 0)
-      : P(&P), A(A), B(B), StartNs(enabled() ? nowNs() : 0) {}
+  Span(uint64_t StartNs, Phase &P, uint64_t A = 0, uint64_t B = 0)
+      : P(&P), A(A), B(B), StartNs(StartNs) {}
   Span(const Span &) = delete;
   Span &operator=(const Span &) = delete;
   ~Span() {
@@ -355,11 +359,15 @@ private:
 #define RW_OBS_CAT(a, b) RW_OBS_CAT2(a, b)
 /// OBS_SPAN("check", Mod, Func): scoped span for the rest of the block.
 /// The phase lookup is a function-local static, so steady-state cost is
-/// one static-init guard check plus the Span constructor's relaxed load.
+/// spanStart()'s relaxed load plus one static-init guard check. The span
+/// starts before the lookup, so the first use of a phase, which registers
+/// it and allocates its histogram, is timed inside its own span.
 #define OBS_SPAN(NAME, ...)                                                    \
+  const uint64_t RW_OBS_CAT(ObsStart_, __LINE__) = ::rw::obs::spanStart();     \
   static ::rw::obs::Phase &RW_OBS_CAT(ObsPhase_, __LINE__) =                   \
       ::rw::obs::phase(NAME);                                                  \
   ::rw::obs::Span RW_OBS_CAT(ObsSpan_, __LINE__)(                              \
+      RW_OBS_CAT(ObsStart_, __LINE__),                                         \
       RW_OBS_CAT(ObsPhase_, __LINE__) __VA_OPT__(, ) __VA_ARGS__)
 
 /// Registers a stats source sampled by snapshot(). \p Prefix is
@@ -449,9 +457,11 @@ inline Phase &phase(const char *) {
   return P;
 }
 
+inline uint64_t spanStart() { return 0; }
+
 class Span {
 public:
-  constexpr explicit Span(Phase &, uint64_t = 0, uint64_t = 0) {}
+  constexpr Span(uint64_t, Phase &, uint64_t = 0, uint64_t = 0) {}
   Span(const Span &) = delete;
   Span &operator=(const Span &) = delete;
 };

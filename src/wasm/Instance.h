@@ -6,14 +6,16 @@
 ///
 /// \file
 /// The engine-independent embedder (host) API for instantiated Wasm
-/// modules (DESIGN.md §5). Two execution engines implement it:
+/// modules (DESIGN.md §5). Two shipping engines implement it, both as
+/// exec::FlatInstance (exec/Engine.h):
 ///
-///   * EngineKind::Tree — wasm::WasmInstance (wasm/Interp.h), which
-///     interprets the flat WInst stream with structured block/loop/if
-///     control (the differential oracle);
-///   * EngineKind::Flat — exec::FlatInstance (exec/Engine.h), which
-///     translates the module once into a flat pre-resolved bytecode and
-///     runs it with a tight dispatch loop.
+///   * EngineKind::Flat — translates the module once into a flat
+///     pre-resolved bytecode and runs it with a tight dispatch loop;
+///   * EngineKind::Jit — the same engine with eager tier-3 native
+///     compilation (src/jit/).
+///
+/// The tree-walking reference interpreter the tests compare both against
+/// implements it too, from tests/oracle/.
 ///
 /// Everything the RichWasm runtime needs from an instance lives here:
 /// host functions satisfy imports, the host can read and write the flat
@@ -39,7 +41,7 @@ namespace rw::wasm {
 
 constexpr uint64_t PageSize = 65536;
 
-/// Call-frame limit shared by both engines, so the "call stack
+/// Call-frame limit shared by every engine, so the "call stack
 /// exhausted" trap fires at the same recursion depth everywhere.
 constexpr unsigned MaxCallDepth = 2000;
 
@@ -60,17 +62,14 @@ class Instance;
 using HostFn = std::function<Expected<std::vector<WValue>>(
     Instance &, const std::vector<WValue> &)>;
 
-/// Which execution engine backs an instance.
+/// Which shipping execution engine backs an instance.
 enum class EngineKind : uint8_t {
-  Tree, ///< Tree-walking interpreter over the structured AST.
   Flat, ///< Flat-bytecode engine with pre-resolved control flow.
   Jit,  ///< Flat engine with the tier-3 native backend (eager tiering).
 };
 
 inline const char *engineKindName(EngineKind K) {
-  return K == EngineKind::Tree   ? "tree"
-         : K == EngineKind::Flat ? "flat"
-                                 : "jit";
+  return K == EngineKind::Flat ? "flat" : "jit";
 }
 
 /// One saturating execution-profile counter. Only the executing thread
@@ -156,9 +155,6 @@ public:
                                              std::vector<WValue> Args,
                                              uint64_t MaxFuel = 1'000'000'000);
 
-  /// The engine executing this instance.
-  virtual EngineKind engine() const = 0;
-
   std::vector<uint8_t> &memory() { return Mem; }
   const std::vector<uint8_t> &memory() const { return Mem; }
   uint32_t load32(uint32_t Addr) const;
@@ -235,10 +231,10 @@ private:
   uint64_t ObsSourceId = 0;
 };
 
-/// Creates an uninitialized instance of \p M backed by engine \p K.
-/// (Defined in exec/Engine.cpp, where both engines are visible.)
+/// Creates an uninitialized exec::FlatInstance of \p M running as \p K.
+/// (Defined in exec/Engine.cpp, where the engine is visible.)
 std::unique_ptr<Instance> createInstance(const WModule &M,
-                                         EngineKind K = EngineKind::Tree);
+                                         EngineKind K = EngineKind::Flat);
 
 } // namespace rw::wasm
 

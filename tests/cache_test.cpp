@@ -25,6 +25,7 @@
 #include "cache/AdmissionCache.h"
 
 #include "bench/Common.h"
+#include "exec/Engine.h"
 #include "ingest/Ingest.h"
 #include "obs/Obs.h"
 #include "serial/Serial.h"
@@ -146,15 +147,16 @@ TEST(Cache, WarmInstantiateLoweredSkipsToInstantiation) {
   ASSERT_TRUE(bool(R2)) << R2.error().message();
   EXPECT_EQ((*R2)[0].Bits, 42u);
 
-  // The flat engine hits the same artifact (the key is engine-
+  // The jit engine hits the same artifact (the key is engine-
   // independent) and adopts the memoized translation.
-  link::LinkOptions FlatOpts = Opts;
-  FlatOpts.Engine = wasm::EngineKind::Flat;
-  auto Flat = link::instantiateLowered(Mods, FlatOpts);
-  ASSERT_TRUE(bool(Flat)) << Flat.error().message();
+  link::LinkOptions JitOpts = Opts;
+  JitOpts.Engine = wasm::EngineKind::Jit;
+  auto Jit = link::instantiateLowered(Mods, JitOpts);
+  ASSERT_TRUE(bool(Jit)) << Jit.error().message();
   EXPECT_EQ(C.stats().ProgramHits, 2u);
-  EXPECT_EQ(Flat->Instance->engine(), wasm::EngineKind::Flat);
-  auto R3 = Flat->invokeExport("client.main", {});
+  EXPECT_EQ(static_cast<exec::FlatInstance &>(*Jit->Instance).engine(),
+            wasm::EngineKind::Jit);
+  auto R3 = Jit->invokeExport("client.main", {});
   ASSERT_TRUE(bool(R3)) << R3.error().message();
   EXPECT_EQ((*R3)[0].Bits, 42u);
 

@@ -1,7 +1,7 @@
 //===- tests/exec_test.cpp - Differential testing of the two engines ------===//
 //
 // The flat-bytecode engine (exec/Engine.h) must be observationally
-// identical to the tree-walking reference interpreter (wasm/Interp.h):
+// identical to the tree-walking reference interpreter (tests/oracle/):
 // same results, same traps (same messages), same final memory, and same
 // GC-statistics globals. This suite sweeps
 //
@@ -21,10 +21,10 @@
 #include "exec/Translate.h"
 #include "link/Link.h"
 #include "lower/Lower.h"
-#include "wasm/Interp.h"
 #include "support/NumericOps.h"
 #include "wasm/Validate.h"
 #include "tests/WasmTree.h"
+#include "tests/oracle/Oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -34,10 +34,10 @@ using namespace rw;
 using namespace rw::wasm;
 using rw::wasmtest::TInst;
 using rw::wasmtest::func;
+using rw::oracle::AllEngines;
+using rw::oracle::Engine;
 
 namespace {
-
-constexpr EngineKind BothEngines[] = {EngineKind::Tree, EngineKind::Flat};
 
 /// Everything observable about one engine run.
 struct RunResult {
@@ -49,11 +49,11 @@ struct RunResult {
   std::unique_ptr<Instance> Inst; // Kept alive for follow-up (GC) checks.
 };
 
-RunResult runOn(const WModule &M, EngineKind K, const std::string &Export,
+RunResult runOn(const WModule &M, Engine K, const std::string &Export,
                 std::vector<WValue> Args,
                 const std::function<void(Instance &)> &Bind = {}) {
   RunResult R;
-  R.Inst = createInstance(M, K);
+  R.Inst = oracle::createInstance(M, K);
   if (Bind)
     Bind(*R.Inst);
   if (Status S = R.Inst->initialize(); !S) {
@@ -80,8 +80,8 @@ expectSame(const WModule &M, const std::string &Export,
            std::vector<WValue> Args = {},
            const std::function<void(Instance &)> &Bind = {}) {
   EXPECT_TRUE(validate(M).ok()) << validate(M).error().message();
-  RunResult T = runOn(M, EngineKind::Tree, Export, Args, Bind);
-  RunResult F = runOn(M, EngineKind::Flat, Export, Args, Bind);
+  RunResult T = runOn(M, Engine::Tree, Export, Args, Bind);
+  RunResult F = runOn(M, Engine::Flat, Export, Args, Bind);
   EXPECT_EQ(T.Ok, F.Ok) << "tree: " << T.Err << " / flat: " << F.Err;
   EXPECT_EQ(T.Err, F.Err);
   EXPECT_EQ(T.Results.size(), F.Results.size());
@@ -430,13 +430,13 @@ TEST(ExecDiff, TrapNoteCarriesProfileCounters) {
   ASSERT_TRUE(validate(M).ok()) << validate(M).error().message();
 
   std::string Errs[2];
-  for (EngineKind K : BothEngines) {
-    auto I = createInstance(M, K);
+  for (Engine K : oracle::TreeAndFlat) {
+    auto I = oracle::createInstance(M, K);
     I->enableProfiling();
     ASSERT_TRUE(I->initialize().ok());
     auto R = I->invokeByName("f", {});
     ASSERT_FALSE(bool(R));
-    Errs[K == EngineKind::Flat] = R.error().message();
+    Errs[K == Engine::Flat] = R.error().message();
     // The profile table itself agrees with the note: f0 entered once with
     // three loop-header executions, f1 entered once.
     const std::vector<FunctionProfile> &P = I->functionProfiles();
@@ -580,15 +580,13 @@ struct LoweredBoth {
 LoweredBoth runLoweredBoth(const std::vector<const ir::Module *> &Mods,
                            const std::string &Export) {
   LoweredBoth B;
-  for (EngineKind K : BothEngines) {
-    link::LinkOptions Opts;
-    Opts.Engine = K;
-    auto LI = link::instantiateLowered(Mods, Opts);
-    EXPECT_TRUE(bool(LI)) << engineKindName(K) << ": "
+  for (Engine K : oracle::TreeAndFlat) {
+    auto LI = oracle::instantiateLowered(Mods, K);
+    EXPECT_TRUE(bool(LI)) << oracle::engineName(K) << ": "
                           << LI.error().message();
     if (!LI)
       return B;
-    (K == EngineKind::Tree ? B.Tree : B.Flat) = std::move(*LI);
+    (K == Engine::Tree ? B.Tree : B.Flat) = std::move(*LI);
   }
   auto RT = B.Tree.invokeExport(Export, {});
   auto RF = B.Flat.invokeExport(Export, {});
@@ -650,7 +648,7 @@ TEST(ExecLowered, WideModuleEveryFunction) {
   ir::Module M = rwbench::wideModule(20);
   auto LP = lower::lowerProgram({&M});
   ASSERT_TRUE(bool(LP)) << LP.error().message();
-  auto TI = createInstance(LP->Module, EngineKind::Tree);
+  auto TI = oracle::createInstance(LP->Module, Engine::Tree);
   auto FI = createInstance(LP->Module, EngineKind::Flat);
   ASSERT_TRUE(TI->initialize().ok());
   ASSERT_TRUE(FI->initialize().ok());
@@ -677,10 +675,8 @@ TEST(ExecLowered, CounterClientProtocol) {
   ASSERT_TRUE(bool(Lib)) << Lib.error().message();
   ASSERT_TRUE(bool(App)) << App.error().message();
 
-  link::LinkOptions TreeOpts, FlatOpts;
-  FlatOpts.Engine = EngineKind::Flat;
-  auto LT = link::instantiateLowered({&*Lib, &*App}, TreeOpts);
-  auto LF = link::instantiateLowered({&*Lib, &*App}, FlatOpts);
+  auto LT = oracle::instantiateLowered({&*Lib, &*App}, Engine::Tree);
+  auto LF = link::instantiateLowered({&*Lib, &*App});
   ASSERT_TRUE(bool(LT)) << LT.error().message();
   ASSERT_TRUE(bool(LF)) << LF.error().message();
   for (link::LoweredInstance *LI : {&*LT, &*LF}) {
@@ -894,8 +890,8 @@ TEST(ExecFuzz, StraightLineNumericSweep) {
     ASSERT_TRUE(validate(M).ok())
         << "seed " << Seed << ": " << validate(M).error().message();
     for (uint32_t Arg : {0u, 0xdeadbeefu}) {
-      RunResult T = runOn(M, EngineKind::Tree, "f", {WValue::i32(Arg)});
-      RunResult F = runOn(M, EngineKind::Flat, "f", {WValue::i32(Arg)});
+      RunResult T = runOn(M, Engine::Tree, "f", {WValue::i32(Arg)});
+      RunResult F = runOn(M, Engine::Flat, "f", {WValue::i32(Arg)});
       ASSERT_EQ(T.Ok, F.Ok) << "seed " << Seed << " arg " << Arg
                             << " tree: " << T.Err << " flat: " << F.Err;
       ASSERT_EQ(T.Err, F.Err) << "seed " << Seed;
@@ -923,7 +919,7 @@ TEST(ExecFlat, TranslationShrinksDispatchCount) {
   ir::Module M = rwbench::loopModule(100);
   auto LP = lower::lowerProgram({&M});
   ASSERT_TRUE(bool(LP));
-  auto TI = createInstance(LP->Module, EngineKind::Tree);
+  auto TI = oracle::createInstance(LP->Module, Engine::Tree);
   auto FI = createInstance(LP->Module, EngineKind::Flat);
   ASSERT_TRUE(TI->initialize().ok());
   ASSERT_TRUE(FI->initialize().ok());
@@ -961,12 +957,12 @@ TEST(ExecFlat, ImportInvokeResultArityMatchesTree) {
                    });
   };
   std::vector<std::vector<WValue>> Out;
-  for (EngineKind K : BothEngines) {
-    auto I = createInstance(M, K);
+  for (Engine K : oracle::TreeAndFlat) {
+    auto I = oracle::createInstance(M, K);
     Bind(*I);
     ASSERT_TRUE(I->initialize().ok());
     auto R = I->invoke(0, {});
-    ASSERT_TRUE(bool(R)) << engineKindName(K);
+    ASSERT_TRUE(bool(R)) << oracle::engineName(K);
     Out.push_back(*R);
   }
   ASSERT_EQ(Out[0].size(), Out[1].size());
@@ -978,15 +974,14 @@ TEST(ExecFlat, RunStartFalseStillBuildsInstanceState) {
   // LinkOptions::RunStart only gates the start function; the instance
   // (memory, globals, engine preparation) must still exist.
   ir::Module M = rwbench::loopModule(10);
-  for (EngineKind K : BothEngines) {
+  for (Engine K : oracle::TreeAndFlat) {
     link::LinkOptions Opts;
-    Opts.Engine = K;
     Opts.RunStart = false;
-    auto LI = link::instantiateLowered({&M}, Opts);
+    auto LI = oracle::instantiateLowered({&M}, K, Opts);
     ASSERT_TRUE(bool(LI)) << LI.error().message();
-    EXPECT_FALSE(LI->Instance->memory().empty()) << engineKindName(K);
+    EXPECT_FALSE(LI->Instance->memory().empty()) << oracle::engineName(K);
     auto R = LI->invokeExport("loopmod.main", {});
-    ASSERT_TRUE(bool(R)) << engineKindName(K) << ": "
+    ASSERT_TRUE(bool(R)) << oracle::engineName(K) << ": "
                          << R.error().message();
     EXPECT_EQ((*R)[0].asU32(), 55u);
   }
@@ -994,9 +989,13 @@ TEST(ExecFlat, RunStartFalseStillBuildsInstanceState) {
 
 TEST(ExecFlat, EngineKindReporting) {
   WModule M = oneFunc({{}, {}}, {}, {});
-  EXPECT_EQ(createInstance(M, EngineKind::Tree)->engine(), EngineKind::Tree);
-  EXPECT_EQ(createInstance(M, EngineKind::Flat)->engine(), EngineKind::Flat);
+  auto Default = createInstance(M);
+  auto *F = dynamic_cast<exec::FlatInstance *>(Default.get());
+  ASSERT_NE(F, nullptr);
+  EXPECT_EQ(F->engine(), EngineKind::Flat);
+  EXPECT_EQ(exec::FlatInstance(M, EngineKind::Jit).engine(), EngineKind::Jit);
   EXPECT_STREQ(engineKindName(EngineKind::Flat), "flat");
+  EXPECT_STREQ(engineKindName(EngineKind::Jit), "jit");
 }
 
 TEST(ExecFlat, HostReentryIntoRunningInstanceTraps) {
@@ -1070,9 +1069,6 @@ TEST(ExecFlat, InvokeAfterReentryTrapStillWorks) {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-constexpr EngineKind AllEngines[] = {EngineKind::Tree, EngineKind::Flat,
-                                     EngineKind::Jit};
 
 uint32_t compiledCountOf(const RunResult &R) {
   return static_cast<exec::FlatInstance &>(*R.Inst).jitCompiledCount();
@@ -1426,7 +1422,7 @@ TEST(JitDiff, TierUpMidLoopThenTrap) {
 
   // Threshold tiering turns profiling on, and profiled instances render
   // richer trap notes — profile the tree reference identically.
-  auto TreeI = createInstance(M, EngineKind::Tree);
+  auto TreeI = oracle::createInstance(M, Engine::Tree);
   TreeI->enableProfiling();
   ASSERT_TRUE(TreeI->initialize().ok());
 
@@ -1488,18 +1484,18 @@ TEST(JitDiff, ProfileTrapNoteParity) {
   ASSERT_TRUE(validate(M).ok());
 
   std::vector<std::string> Errs;
-  for (EngineKind K : AllEngines) {
-    auto I = createInstance(M, K);
+  for (Engine K : AllEngines) {
+    auto I = oracle::createInstance(M, K);
     I->enableProfiling();
     ASSERT_TRUE(I->initialize().ok());
     auto R = I->invokeByName("f", {});
     ASSERT_FALSE(bool(R));
     Errs.push_back(R.error().message());
     const std::vector<FunctionProfile> &P = I->functionProfiles();
-    ASSERT_EQ(P.size(), 2u) << engineKindName(K);
-    EXPECT_EQ(P[0].Invocations, 1u) << engineKindName(K);
-    EXPECT_EQ(P[0].LoopHeads, 3u) << engineKindName(K);
-    EXPECT_EQ(P[1].Invocations, 1u) << engineKindName(K);
+    ASSERT_EQ(P.size(), 2u) << oracle::engineName(K);
+    EXPECT_EQ(P[0].Invocations, 1u) << oracle::engineName(K);
+    EXPECT_EQ(P[0].LoopHeads, 3u) << oracle::engineName(K);
+    EXPECT_EQ(P[1].Invocations, 1u) << oracle::engineName(K);
   }
   EXPECT_EQ(Errs[0], Errs[1]);
   EXPECT_EQ(Errs[0], Errs[2]);
@@ -1539,8 +1535,8 @@ TEST(JitFuzz, StraightLineNumericSweepEager) {
     WModule M = fuzzModule(Seed, 60);
     ASSERT_TRUE(validate(M).ok());
     for (uint32_t Arg : {0u, 0xdeadbeefu}) {
-      RunResult T = runOn(M, EngineKind::Tree, "f", {WValue::i32(Arg)});
-      RunResult J = runOn(M, EngineKind::Jit, "f", {WValue::i32(Arg)});
+      RunResult T = runOn(M, Engine::Tree, "f", {WValue::i32(Arg)});
+      RunResult J = runOn(M, Engine::Jit, "f", {WValue::i32(Arg)});
       ASSERT_EQ(T.Ok, J.Ok) << "seed " << Seed << " arg " << Arg
                             << " tree: " << T.Err << " jit: " << J.Err;
       ASSERT_EQ(T.Err, J.Err) << "seed " << Seed;
@@ -1565,9 +1561,7 @@ TEST(JitLowered, WorkloadsAndHostGcThreeWay) {
     ir::Module M = rwbench::allocModule(Linear ? 300 : 200, Linear);
     link::LoweredInstance LI[3];
     for (int K = 0; K < 3; ++K) {
-      link::LinkOptions Opts;
-      Opts.Engine = AllEngines[K];
-      auto R = link::instantiateLowered({&M}, Opts);
+      auto R = oracle::instantiateLowered({&M}, AllEngines[K]);
       ASSERT_TRUE(bool(R)) << R.error().message();
       LI[K] = std::move(*R);
     }

@@ -17,6 +17,7 @@
 
 #include "bench/Common.h"
 #include "cache/AdmissionCache.h"
+#include "exec/Engine.h"
 #include "ingest/Ingest.h"
 #include "ir/TypeArena.h"
 #include "lower/Lower.h"
@@ -40,6 +41,12 @@ std::vector<uint8_t> wasmBytes(const ir::Module &M) {
   Expected<lower::LoweredProgram> LP = lower::lowerProgram({&M}, {});
   EXPECT_TRUE(LP) << (LP ? "" : LP.error().message());
   return wasm::encode(LP->Module);
+}
+
+/// True when \p I is an instance of the flat engine proper (not the jit).
+bool runsFlat(wasm::Instance *I) {
+  auto *F = dynamic_cast<exec::FlatInstance *>(I);
+  return F && F->engine() == wasm::EngineKind::Flat;
 }
 
 uint64_t globalArenaNodes() {
@@ -90,6 +97,23 @@ TEST(Ingest, RichWasmRouteAdmitsAndRuns) {
   auto R = A->invoke("loopmod.main", {});
   ASSERT_TRUE(R) << R.error().message();
   EXPECT_EQ((*R)[0].Bits, 55u);
+}
+
+TEST(Ingest, DefaultOptionsRunOnTheFlatEngine) {
+  // A caller that picks no engine gets the shipping flat engine on both
+  // routes, and so does link::instantiateLowered.
+  ir::Module M = rwbench::loopModule(10);
+  for (const std::vector<uint8_t> &B : {wasmBytes(M), serial::write(M)}) {
+    auto A = ingest::admit(B, Limits(), link::LinkOptions());
+    ASSERT_TRUE(A) << A.error().message();
+    EXPECT_TRUE(runsFlat(A->instance())) << ingest::routeName(A->R);
+    auto R = A->invoke("loopmod.main", {});
+    ASSERT_TRUE(R) << R.error().message();
+    EXPECT_EQ((*R)[0].Bits, 55u);
+  }
+  auto LI = link::instantiateLowered({&M});
+  ASSERT_TRUE(LI) << LI.error().message();
+  EXPECT_TRUE(runsFlat(LI->Instance.get()));
 }
 
 TEST(Ingest, BothRoutesAgreeOnResults) {
@@ -324,6 +348,8 @@ TEST(Ingest, MutationBattery10k) {
     Expected<ingest::AdmittedModule> A = ingest::admit(B, L, Opts, &E);
     if (A) {
       ++Accepted;
+      EXPECT_TRUE(runsFlat(A->instance()))
+          << "admitted off the flat engine at iteration " << I;
     } else {
       ++Rejected;
       EXPECT_NE(E.Cat, Category::None)

@@ -12,8 +12,8 @@
 #include "link/Link.h"
 #include "lower/Lower.h"
 #include "ml/ML.h"
+#include "tests/oracle/Interp.h"
 #include "typing/Checker.h"
-#include "wasm/Interp.h"
 #include "wasm/Validate.h"
 
 #include <gtest/gtest.h>

@@ -13,9 +13,9 @@
 #include "link/Link.h"
 #include "lower/Lower.h"
 #include "sem/Machine.h"
-#include "wasm/Binary.h"
-#include "wasm/Interp.h"
 #include "support/ThreadPool.h"
+#include "tests/oracle/Interp.h"
+#include "wasm/Binary.h"
 #include "wasm/Validate.h"
 
 #include <gtest/gtest.h>

@@ -22,8 +22,8 @@
 #include "obs/Obs.h"
 #include "obs/Timeline.h"
 #include "support/ThreadPool.h"
+#include "tests/oracle/Oracle.h"
 #include "typing/Checker.h"
-#include "wasm/Interp.h"
 #include "wasm/Validate.h"
 #include "tests/WasmTree.h"
 
@@ -472,10 +472,9 @@ TEST(Obs, FunctionProfilesIdenticalAcrossEngines) {
   M.Exports.push_back({"f", ExportKind::Func, 0});
   ASSERT_TRUE(validate(M).ok()) << validate(M).error().message();
 
-  constexpr EngineKind Both[] = {EngineKind::Tree, EngineKind::Flat};
   std::vector<FunctionProfile> Seen[2];
-  for (EngineKind K : Both) {
-    auto I = createInstance(M, K);
+  for (oracle::Engine K : oracle::TreeAndFlat) {
+    auto I = oracle::createInstance(M, K);
     I->enableProfiling();
     ASSERT_TRUE(I->initialize().ok());
     ASSERT_TRUE(bool(I->invokeByName("f", {})));
@@ -486,7 +485,7 @@ TEST(Obs, FunctionProfilesIdenticalAcrossEngines) {
     EXPECT_EQ(P[0].LoopHeads, 5u); // One fall-in + four back-edges.
     EXPECT_EQ(P[1].Invocations, 2u);
     EXPECT_EQ(P[1].LoopHeads, 0u);
-    Seen[K == EngineKind::Flat] = P;
+    Seen[K == oracle::Engine::Flat] = P;
 
     // While the instance lives, its profile table is an obs source.
     obs::Snapshot S = obs::snapshot();
@@ -516,15 +515,14 @@ TEST(Obs, ProfileParityOnDifferentialWorkload) {
   ASSERT_TRUE(bool(LP)) << LP.error().message();
   ASSERT_TRUE(validate(LP->Module).ok());
 
-  constexpr EngineKind Both[] = {EngineKind::Tree, EngineKind::Flat};
   std::vector<FunctionProfile> Seen[2];
-  for (EngineKind K : Both) {
-    auto I = createInstance(LP->Module, K);
+  for (oracle::Engine K : oracle::TreeAndFlat) {
+    auto I = oracle::createInstance(LP->Module, K);
     I->enableProfiling();
     ASSERT_TRUE(I->initialize().ok());
     auto R = I->invokeByName("loopmod.main", {});
     ASSERT_TRUE(bool(R)) << R.error().message();
-    Seen[K == EngineKind::Flat] = I->functionProfiles();
+    Seen[K == oracle::Engine::Flat] = I->functionProfiles();
   }
   ASSERT_EQ(Seen[0].size(), Seen[1].size());
   uint64_t TotalInv = 0, TotalLoops = 0;

@@ -1,10 +1,10 @@
-//===- wasm/Interp.cpp - Wasm interpreter ----------------------------------===//
+//===- tests/oracle/Interp.cpp - Wasm interpreter -------------------------===//
 //
 // Part of the RichWasm reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 
-#include "wasm/Interp.h"
+#include "tests/oracle/Interp.h"
 
 #include "support/NumericOps.h"
 

@@ -1,11 +1,11 @@
-//===- wasm/Interp.h - Tree-walking Wasm engine -----------------*- C++-*-===//
+//===- tests/oracle/Interp.h - Tree-walking Wasm oracle ---------*- C++-*-===//
 //
 // Part of the RichWasm reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The structured WebAssembly engine (EngineKind::Tree): a direct
+/// The structured WebAssembly engine, kept as the test-side oracle: a direct
 /// interpreter of the flat instruction stream that executes block, loop
 /// and if as the spec's structured control, using a per-function table of
 /// matching Else/End positions it builds at instantiation. It shares no
@@ -18,13 +18,15 @@
 /// the C1 capability-erasure benchmark uses to show that capability
 /// bookkeeping compiles to *zero* instructions.
 ///
-/// This engine is the semantic reference; the flat-bytecode engine in
-/// exec/Engine.h is differentially tested against it (DESIGN.md §5).
+/// This engine is the semantic reference; the two shipping engines
+/// (exec/Engine.h: Flat and Jit) are differentially tested against it
+/// (DESIGN.md §5). It is not part of the richwasm library; the tests and
+/// the bench binaries link it from richwasm_oracle (tests/oracle/).
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef RICHWASM_WASM_INTERP_H
-#define RICHWASM_WASM_INTERP_H
+#ifndef RICHWASM_TESTS_ORACLE_INTERP_H
+#define RICHWASM_TESTS_ORACLE_INTERP_H
 
 #include "support/Error.h"
 #include "wasm/Instance.h"
@@ -42,8 +44,6 @@ public:
   Expected<std::vector<WValue>>
   invoke(uint32_t FuncIdx, std::vector<WValue> Args,
          uint64_t MaxFuel = 1'000'000'000) override;
-
-  EngineKind engine() const override { return EngineKind::Tree; }
 
 protected:
   /// Builds the match table (see Match).
@@ -94,4 +94,4 @@ private:
 
 } // namespace rw::wasm
 
-#endif // RICHWASM_WASM_INTERP_H
+#endif // RICHWASM_TESTS_ORACLE_INTERP_H

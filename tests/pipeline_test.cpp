@@ -10,9 +10,9 @@
 #include "link/Link.h"
 #include "lower/Lower.h"
 #include "ml/ML.h"
+#include "tests/oracle/Interp.h"
 #include "typing/Checker.h"
 #include "wasm/Binary.h"
-#include "wasm/Interp.h"
 #include "wasm/Validate.h"
 
 #include <gtest/gtest.h>

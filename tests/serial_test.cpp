@@ -24,6 +24,7 @@
 #include "bench/Common.h"
 #include "ir/TypeOps.h"
 #include "support/ThreadPool.h"
+#include "tests/oracle/Oracle.h"
 
 #include <gtest/gtest.h>
 #include <random>
@@ -407,11 +408,9 @@ TEST(Serial, RoundTrippedProgramExecutesIdentically) {
   auto R = serial::read(serial::write(*M));
   ASSERT_TRUE(bool(R)) << R.error().message();
 
-  for (wasm::EngineKind E : {wasm::EngineKind::Tree, wasm::EngineKind::Flat}) {
-    link::LinkOptions Opts;
-    Opts.Engine = E;
-    auto LA = link::instantiateLowered({&*M}, Opts);
-    auto LB = link::instantiateLowered({&*R}, Opts);
+  for (oracle::Engine E : oracle::TreeAndFlat) {
+    auto LA = oracle::instantiateLowered({&*M}, E);
+    auto LB = oracle::instantiateLowered({&*R}, E);
     ASSERT_TRUE(bool(LA)) << LA.error().message();
     ASSERT_TRUE(bool(LB)) << LB.error().message();
     auto RA = LA->invokeExport("m.main", {});

@@ -18,7 +18,8 @@
 //      consumed (the configuration-typing rule's "no linear values remain"
 //      premise);
 //   5. the differential check: the lowered Wasm module computes the same
-//      result.
+//      result, and leaves no live heap cell after a collection, on the
+//      tree oracle and on both shipping engines (flat and jit).
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,8 +27,8 @@
 #include "link/Link.h"
 #include "lower/Lower.h"
 #include "sem/Machine.h"
+#include "tests/oracle/Oracle.h"
 #include "typing/Checker.h"
-#include "wasm/Interp.h"
 #include "wasm/Validate.h"
 
 #include <gtest/gtest.h>
@@ -328,21 +329,24 @@ TEST_P(Soundness, ProgressPreservationAndLinearUniqueness) {
       << "linear memory leaked by a checked program";
   uint64_t InterpResult = Prog[0].V.bits();
 
-  // (5) Differential: the lowered module agrees.
+  // (5) Differential: the lowered module agrees on every engine.
   auto LP = lower::lowerProgram({&M});
   ASSERT_TRUE(bool(LP)) << LP.error().message();
   ASSERT_TRUE(wasm::validate(LP->Module).ok())
       << wasm::validate(LP->Module).error().message();
-  wasm::WasmInstance Inst(LP->Module);
-  ASSERT_TRUE(Inst.initialize().ok());
-  auto R = Inst.invokeByName("gen.main", {});
-  ASSERT_TRUE(bool(R)) << R.error().message();
-  EXPECT_EQ((*R)[0].asU32(), InterpResult);
-  // Checked programs free all their linear cells; unrestricted garbage may
-  // remain until collection.
-  lower::HostGc Gc(Inst, LP->Runtime, LP->RefGlobals);
-  Gc.collect();
-  EXPECT_EQ(Inst.global(LP->Runtime.GLive).asU32(), 0u);
+  for (oracle::Engine E : oracle::AllEngines) {
+    SCOPED_TRACE(oracle::engineName(E));
+    auto Inst = oracle::createInstance(LP->Module, E);
+    ASSERT_TRUE(Inst->initialize().ok());
+    auto R = Inst->invokeByName("gen.main", {});
+    ASSERT_TRUE(bool(R)) << R.error().message();
+    EXPECT_EQ((*R)[0].asU32(), InterpResult);
+    // Checked programs free all their linear cells; unrestricted garbage
+    // may remain until collection.
+    lower::HostGc Gc(*Inst, LP->Runtime, LP->RefGlobals);
+    Gc.collect();
+    EXPECT_EQ(Inst->global(LP->Runtime.GLive).asU32(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Soundness,

@@ -6,10 +6,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "wasm/Binary.h"
-#include "wasm/Interp.h"
-#include "wasm/Validate.h"
 #include "tests/WasmTree.h"
+#include "tests/oracle/Interp.h"
+#include "wasm/Binary.h"
+#include "wasm/Validate.h"
 
 #include <gtest/gtest.h>
 
